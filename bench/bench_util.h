@@ -180,17 +180,16 @@ inline bool StripJsonFlag(int* argc, char** argv) {
 struct JsonArm {
   std::string label;
   EvalStrategy strategy = EvalStrategy::kStratified;
-  int threads = 1;
   bool cache = true;
   bool prepass = true;
   bool interval = true;
 };
 
-/// `--json` mode: evaluates `program` once per arm — the serial oracle, the
-/// stratified engine at 1/2/8 worker threads, and stratified cache-off /
-/// prepass-off / interval-index-off ablations — and writes
-/// BENCH_<name>.json with the wall-clock and the
-/// derivation/probe/cache/prepass/interval counters of each arm, plus the
+/// `--json` mode: evaluates `program` once per arm — the semi-naive oracle,
+/// the stratified engine, and stratified cache-off / prepass-off /
+/// interval-index-off ablations — and writes BENCH_<name>.json with the
+/// wall-clock and the derivation/probe/cache/prepass/interval counters of
+/// each arm, plus the
 /// columnar-storage footprint (approximate resident bytes and bytes per
 /// stored fact of the final database). The decision cache is cleared before
 /// every arm so each measures a cold start (hits within an arm are real
@@ -202,15 +201,12 @@ inline void WriteBenchJson(const char* name, const Program& program,
                            const Database& edb, int max_iterations = 64,
                            const std::string& extra_sections = "") {
   const JsonArm arms[] = {
-      {"seminaive-oracle", EvalStrategy::kSemiNaive, 1, true, true, true},
-      {"stratified-t1", EvalStrategy::kStratified, 1, true, true, true},
-      {"stratified-t2", EvalStrategy::kStratified, 2, true, true, true},
-      {"stratified-t8", EvalStrategy::kStratified, 8, true, true, true},
-      {"stratified-t1-nocache", EvalStrategy::kStratified, 1, false, true,
+      {"seminaive-oracle", EvalStrategy::kSemiNaive, true, true, true},
+      {"stratified-t1", EvalStrategy::kStratified, true, true, true},
+      {"stratified-t1-nocache", EvalStrategy::kStratified, false, true, true},
+      {"stratified-t1-noprepass", EvalStrategy::kStratified, true, false,
        true},
-      {"stratified-t1-noprepass", EvalStrategy::kStratified, 1, true, false,
-       true},
-      {"stratified-t1-nointerval", EvalStrategy::kStratified, 1, true, true,
+      {"stratified-t1-nointerval", EvalStrategy::kStratified, true, true,
        false},
   };
   std::string json = "{\n  \"bench\": \"" + std::string(name) +
@@ -224,7 +220,6 @@ inline void WriteBenchJson(const char* name, const Program& program,
     EvalOptions opts;
     opts.max_iterations = max_iterations;
     opts.strategy = arm.strategy;
-    opts.threads = arm.threads;
     opts.prepass = arm.prepass;
     opts.interval_index = arm.interval;
     auto start = std::chrono::steady_clock::now();
@@ -241,7 +236,7 @@ inline void WriteBenchJson(const char* name, const Program& program,
     char row[1280];
     std::snprintf(
         row, sizeof(row),
-        "    {\"label\": \"%s\", \"threads\": %d, \"cache\": %s, "
+        "    {\"label\": \"%s\", \"cache\": %s, "
         "\"prepass\": %s, \"interval\": %s, \"wall_ms\": %.3f, "
         "\"derivations\": %ld, "
         "\"inserted\": %ld, \"subsumed\": %ld, \"duplicates\": %ld, "
@@ -253,7 +248,7 @@ inline void WriteBenchJson(const char* name, const Program& program,
         "\"cache_hits\": %ld, \"cache_misses\": %ld, "
         "\"cache_evictions\": %ld, \"prepass_conclusive\": %ld, "
         "\"prepass_fallback\": %ld}",
-        arm.label.c_str(), arm.threads, arm.cache ? "true" : "false",
+        arm.label.c_str(), arm.cache ? "true" : "false",
         arm.prepass ? "true" : "false", arm.interval ? "true" : "false",
         wall_ms, s.derivations, s.inserted,
         s.subsumed, s.duplicates, s.iterations, s.index_probes, s.scan_probes,
@@ -280,9 +275,9 @@ inline void WriteBenchJson(const char* name, const Program& program,
   std::printf("wrote %s\n", path.c_str());
 }
 
-/// Measures the interval-index ablation on one workload — stratified
-/// single-thread, interval pruning on vs off, cold decision cache, median
-/// of `reps` runs — and returns it as a one-line JSON member
+/// Measures the interval-index ablation on one workload — stratified,
+/// interval pruning on vs off, cold decision cache, median of `reps`
+/// runs — and returns it as a one-line JSON member
 /// `"constrained_join": {...}` for WriteBenchJson's extra_sections. The
 /// headline numbers: `speedup` (wall off / wall on) and `candidate_cut`
 /// (scan-equivalent candidates / candidates actually enumerated at interval
@@ -395,8 +390,8 @@ inline void MergePrepassWorkload(const std::string& workload,
 }
 
 /// Measures the interval-prepass ablation on one evaluation workload and
-/// records it in BENCH_prepass.json: stratified single-thread runs with the
-/// prepass on vs off, the decision cache cleared before every run (cold
+/// records it in BENCH_prepass.json: stratified runs with the prepass on
+/// vs off, the decision cache cleared before every run (cold
 /// start — the prepass win must not hide behind warm cache hits), median
 /// wall-clock of `reps` runs per arm, plus the conclusive/fallback split of
 /// the approximate tier. The arms run under full set-implication

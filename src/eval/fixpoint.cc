@@ -116,18 +116,14 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
 }
 
 /// Applies one rule against the frozen pre-iteration database, buffering
-/// derivations into `pending` and counting into `stats`. The workhorse of
-/// both the serial and the parallel iteration: in the parallel case each
-/// worker gets its own `pending`/`stats`, so the only shared state is the
-/// const database snapshot.
+/// derivations into `pending` and counting into `stats`.
 Status ApplyOneRule(const Program& program, size_t rule_index,
                     const Database& db, int iteration, bool require_delta,
                     bool use_index, bool delta_rotate, bool interval_index,
                     Governor* governor, std::vector<Pending>* pending,
                     EvalStats* stats) {
-  // Rule-batch boundary check: keeps long serial rule sequences (and pool
-  // tasks dequeued after a sibling tripped) responsive even when individual
-  // rules derive nothing.
+  // Rule-batch boundary check: keeps long rule sequences responsive even
+  // when individual rules derive nothing.
   CQLOPT_RETURN_IF_ERROR(governor->RuleBoundary());
   const Rule& rule = program.rules[rule_index];
   const std::string rule_key =
@@ -154,53 +150,15 @@ Result<long> RunIteration(const Program& program,
                           bool require_delta, bool use_index,
                           bool delta_rotate, bool interval_index,
                           const EvalOptions& options, Governor* governor,
-                          ThreadPool* pool, EvalResult* result) {
-  std::vector<size_t> active;
-  active.reserve(rule_indexes.size());
+                          EvalResult* result) {
+  std::vector<Pending> pending;
   for (size_t rule_index : rule_indexes) {
     if (program.rules[rule_index].IsConstraintFact() && !fire_constraint_facts)
       continue;
-    active.push_back(rule_index);
-  }
-  std::vector<Pending> pending;
-  if (pool != nullptr && active.size() > 1) {
-    struct WorkerOutput {
-      std::vector<Pending> pending;
-      EvalStats stats;
-      Status status = Status::OK();
-    };
-    std::vector<WorkerOutput> outputs(active.size());
-    for (size_t t = 0; t < active.size(); ++t) {
-      WorkerOutput* out = &outputs[t];
-      size_t rule_index = active[t];
-      pool->Submit([&program, rule_index, iteration, require_delta, use_index,
-                    delta_rotate, interval_index, governor, out,
-                    db = &result->db] {
-        out->status = ApplyOneRule(program, rule_index, *db, iteration,
-                                   require_delta, use_index, delta_rotate,
-                                   interval_index, governor, &out->pending,
-                                   &out->stats);
-      });
-    }
-    pool->Wait();
-    // Merge counters before surfacing any error, mirroring the serial
-    // path's partially-incremented stats on failure. The partial Pending
-    // buffers of tripped workers are merged too, then discarded with the
-    // whole iteration when the error returns below — nothing half-commits.
-    Status failed = Status::OK();
-    for (WorkerOutput& out : outputs) {
-      result->stats.MergeWorkerCounters(out.stats);
-      for (Pending& p : out.pending) pending.push_back(std::move(p));
-      if (failed.ok() && !out.status.ok()) failed = out.status;
-    }
-    CQLOPT_RETURN_IF_ERROR(failed);
-  } else {
-    for (size_t rule_index : active) {
-      CQLOPT_RETURN_IF_ERROR(ApplyOneRule(program, rule_index, result->db,
-                                          iteration, require_delta, use_index,
-                                          delta_rotate, interval_index,
-                                          governor, &pending, &result->stats));
-    }
+    CQLOPT_RETURN_IF_ERROR(ApplyOneRule(program, rule_index, result->db,
+                                        iteration, require_delta, use_index,
+                                        delta_rotate, interval_index, governor,
+                                        &pending, &result->stats));
   }
   Reconcile(&pending, result->db, options.subsumption);
   long inserted = 0;
@@ -219,7 +177,7 @@ Result<long> RunIteration(const Program& program,
       case InsertOutcome::kInserted: {
         ++result->stats.inserted;
         ++inserted;
-        if (!p.fact.IsGround()) result->stats.all_ground = false;
+        if (!p.ground) result->stats.all_ground = false;
         PredId pred = p.fact.pred;
         result->db.AddFact(std::move(p.fact), iteration,
                            SubsumptionMode::kNone, p.rule_label,
@@ -260,6 +218,23 @@ Result<long> RunIteration(const Program& program,
     }
   }
   return inserted;
+}
+
+DecisionCounterScope::DecisionCounterScope(const EvalOptions& options) {
+  if (!options.prepass) prepass_off_.emplace();
+  cache_before_ = DecisionCache::Instance().Snapshot();
+  prepass_before_ = prepass::Snapshot();
+}
+
+void DecisionCounterScope::AddTo(EvalStats* stats) const {
+  DecisionCache::Counters cache_after = DecisionCache::Instance().Snapshot();
+  stats->cache_hits += cache_after.hits - cache_before_.hits;
+  stats->cache_misses += cache_after.misses - cache_before_.misses;
+  stats->cache_evictions += cache_after.evictions - cache_before_.evictions;
+  prepass::Counters prepass_after = prepass::Snapshot();
+  stats->prepass_conclusive +=
+      prepass_after.conclusive() - prepass_before_.conclusive();
+  stats->prepass_fallback += prepass_after.fallback - prepass_before_.fallback;
 }
 
 Status GovernedAbort(const Status& cause, const std::string& position,
@@ -308,7 +283,7 @@ StratifiedPlan PlanStratified(const Program& program) {
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
                  size_t first_component, int start_iteration,
                  const EvalOptions& options, Governor* governor,
-                 ThreadPool* pool, EvalResult* result) {
+                 EvalResult* result) {
   const size_t component_count = plan.component_count();
   int global_iteration = start_iteration;
   bool capped = false;
@@ -333,7 +308,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
           /*fire_constraint_facts=*/local == 0,
           /*require_delta=*/local > 0, /*use_index=*/true,
           /*delta_rotate=*/false, options.interval_index, options, governor,
-          pool, result);
+          result);
       if (!ran.ok()) {
         if (Governor::IsAbortCode(ran.status().code())) {
           return GovernedAbort(ran.status(), position(), options, result);
@@ -366,10 +341,6 @@ Status CheckEvalOptions(const EvalOptions& options) {
     return Status::InvalidArgument(
         "EvalOptions::max_iterations must be >= 0, got " +
         std::to_string(options.max_iterations));
-  }
-  if (options.threads < 0) {
-    return Status::InvalidArgument("EvalOptions::threads must be >= 0, got " +
-                                   std::to_string(options.threads));
   }
   if (options.deadline_ms < 0) {
     return Status::InvalidArgument(

@@ -1,42 +1,41 @@
 #ifndef CQLOPT_EVAL_FIXPOINT_H_
 #define CQLOPT_EVAL_FIXPOINT_H_
 
-#include <atomic>
 #include <chrono>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "constraint/decision_cache.h"
+#include "constraint/interval.h"
 #include "eval/seminaive.h"
 #include "graph/scc.h"
-#include "util/thread_pool.h"
 
 /// Internal fixpoint machinery shared by the evaluation entry points of
 /// seminaive.h (Evaluate / ResumeEvaluate) and the incremental-maintenance
 /// entry point of retract.h (RetractEvaluate). Everything here is an
 /// implementation detail: the iteration/reconcile/commit pipeline, the
-/// governance sampler, and the SCC stratification plan. Callers outside
-/// src/eval should use the public headers.
+/// governance sampler, the decision-counter attribution, and the SCC
+/// stratification plan. Callers outside src/eval should use the public
+/// headers.
 namespace cqlopt {
 namespace eval_internal {
 
 /// Cooperative enforcement of EvalOptions' governance limits (cancel token,
-/// wall-clock deadline, derived-fact budget).
+/// wall-clock deadline, derived-fact budget). One evaluation thread owns
+/// the Governor; only the CancelToken it samples is shared across threads.
 ///
 /// Check granularity:
 ///  - Fine(): called from the emit callback on every derivation. Costs one
 ///    branch when no limit is set; when governed, samples the clock / token
-///    only every kFineInterval derivations (a relaxed shared tick), and
-///    otherwise just reads the trip flag — so a trip in one parallel worker
-///    makes every other worker bail on its next derivation.
-///  - RuleBoundary(): called before each rule application (serially between
-///    rules, and at task start inside pool workers) — an unconditional
-///    clock/token sample, so even derivation-free rule batches stay
-///    responsive.
-///  - IterationBoundary(): called serially after each iteration commits;
-///    adds the derived-fact budget, which deliberately lives ONLY here so
-///    the abort lands on the same iteration — with the same committed
-///    database — at any thread count.
+///    only every kFineInterval derivations, and otherwise just reads the
+///    trip state.
+///  - RuleBoundary(): called before each rule application — an
+///    unconditional clock/token sample, so even derivation-free rule batches
+///    stay responsive.
+///  - IterationBoundary(): called after each iteration commits; adds the
+///    derived-fact budget, which deliberately lives ONLY here so the abort
+///    lands on an iteration boundary with a fully committed database.
 ///
 /// The returned Status carries the cause ("wall-clock deadline of 50ms
 /// expired"); the strategy loops annotate it with the position
@@ -60,17 +59,14 @@ class Governor {
 
   Status Fine() {
     if (!active_) return Status::OK();
-    if (tripped_.load(std::memory_order_relaxed)) return TrippedStatus();
-    if ((tick_.fetch_add(1, std::memory_order_relaxed) &
-         (kFineInterval - 1)) != 0) {
-      return Status::OK();
-    }
+    if (tripped_ != kNotTripped) return TrippedStatus();
+    if ((tick_++ & (kFineInterval - 1)) != 0) return Status::OK();
     return Sample();
   }
 
   Status RuleBoundary() {
     if (!active_) return Status::OK();
-    if (tripped_.load(std::memory_order_relaxed)) return TrippedStatus();
+    if (tripped_ != kNotTripped) return TrippedStatus();
     return Sample();
   }
 
@@ -96,25 +92,26 @@ class Governor {
   }
 
  private:
-  static constexpr long kFineInterval = 64;  // power of two (mask below)
+  static constexpr long kFineInterval = 64;  // power of two (mask above)
 
-  /// Samples the token and the clock; records the first trip so concurrent
-  /// workers short-circuit without re-sampling.
+  enum Trip { kNotTripped, kTripDeadline, kTripCancelled };
+
+  /// Samples the token and the clock; records the first trip so later
+  /// checks short-circuit without re-sampling.
   Status Sample() {
     if (cancel_.cancel_requested()) {
-      tripped_.store(kTripCancelled, std::memory_order_relaxed);
+      tripped_ = kTripCancelled;
       return TrippedStatus();
     }
     if (deadline_ms_ > 0 && std::chrono::steady_clock::now() >= deadline_) {
-      tripped_.store(kTripDeadline, std::memory_order_relaxed);
+      tripped_ = kTripDeadline;
       return TrippedStatus();
     }
     return Status::OK();
   }
 
   Status TrippedStatus() const {
-    if (tripped_.load(std::memory_order_relaxed) == kTripCancelled ||
-        cancel_.cancel_requested()) {
+    if (tripped_ == kTripCancelled || cancel_.cancel_requested()) {
       return Status::Cancelled("evaluation cancelled via CancelToken");
     }
     return Status::DeadlineExceeded("wall-clock deadline of " +
@@ -122,22 +119,35 @@ class Governor {
                                     "ms expired");
   }
 
-  static constexpr int kTripDeadline = 1;
-  static constexpr int kTripCancelled = 2;
-
   CancelToken cancel_;
   const long deadline_ms_;
   const long max_facts_;
   const long baseline_inserted_;
   const bool active_;
   std::chrono::steady_clock::time_point deadline_{};
-  std::atomic<long> tick_{0};
-  std::atomic<int> tripped_{0};
+  long tick_ = 0;
+  Trip tripped_ = kNotTripped;
+};
+
+/// Attributes the process-wide decision-cache and interval-prepass counters
+/// to one evaluation call by differencing their snapshots around it, and
+/// holds the prepass enable flag down for the scope when
+/// EvalOptions::prepass is off. Construct it before the evaluation work
+/// starts; AddTo() adds the activity since construction into `stats`.
+class DecisionCounterScope {
+ public:
+  explicit DecisionCounterScope(const EvalOptions& options);
+
+  void AddTo(EvalStats* stats) const;
+
+ private:
+  std::optional<prepass::PrepassDisabler> prepass_off_;
+  DecisionCache::Counters cache_before_;
+  prepass::Counters prepass_before_;
 };
 
 /// One fixpoint iteration over `rule_indexes` against result->db: applies
-/// the rules under the given delta discipline (concurrently when `pool` is
-/// non-null, merged deterministically in rule order), reconciles the
+/// the rules in order under the given delta discipline, reconciles the
 /// buffered derivations as a set, and commits the survivors with birth
 /// `iteration`. Constraint facts (body-free rules) fire only when
 /// `fire_constraint_facts` is set. Returns the number of facts inserted.
@@ -154,7 +164,7 @@ Result<long> RunIteration(const Program& program,
                           bool require_delta, bool use_index,
                           bool delta_rotate, bool interval_index,
                           const EvalOptions& options, Governor* governor,
-                          ThreadPool* pool, EvalResult* result);
+                          EvalResult* result);
 
 /// Annotates a governed (or fault-injected) abort Status with the position
 /// it landed at, mirrors the position into the partial stats, and copies
@@ -196,11 +206,10 @@ StratifiedPlan PlanStratified(const Program& program);
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
                  size_t first_component, int start_iteration,
                  const EvalOptions& options, Governor* governor,
-                 ThreadPool* pool, EvalResult* result);
+                 EvalResult* result);
 
 /// Rejects option values the fixpoint loops cannot interpret (negative
-/// caps would loop forever; negative thread counts would size a pool
-/// undefinedly).
+/// caps and budgets have no meaning).
 Status CheckEvalOptions(const EvalOptions& options);
 
 }  // namespace eval_internal

@@ -3,17 +3,13 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
 
-#include "constraint/decision_cache.h"
-#include "constraint/interval.h"
 #include "eval/fixpoint.h"
 #include "eval/validate.h"
-#include "util/thread_pool.h"
 
 namespace cqlopt {
 namespace {
@@ -392,28 +388,15 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
 
   // --- Path "prefix": re-derive the suffix with the ordinary stratified
   // fixpoint, resumed mid-plan at the first unrepairable stratum. Counter
-  // attribution mirrors Evaluate/ResumeEvaluate: the process-wide
-  // decision-cache and prepass counters are snapshot-diffed around the run.
+  // attribution mirrors Evaluate/ResumeEvaluate (DecisionCounterScope).
   result.stats.retract_path = "prefix";
   result.stats.reached_fixpoint = false;
   result.stats.facts_per_pred.clear();
-  std::optional<prepass::PrepassDisabler> prepass_off;
-  if (!options.prepass) prepass_off.emplace();
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
+  eval_internal::DecisionCounterScope decisions(options);
   Governor governor(options, /*baseline_inserted=*/result.stats.inserted);
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
   CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, suffix_start, prefix_iters,
-                                   options, &governor, pool.get(), &result));
-  DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-  result.stats.cache_hits += after.hits - before.hits;
-  result.stats.cache_misses += after.misses - before.misses;
-  result.stats.cache_evictions += after.evictions - before.evictions;
-  prepass::Counters pre_after = prepass::Snapshot();
-  result.stats.prepass_conclusive +=
-      pre_after.conclusive() - pre_before.conclusive();
-  result.stats.prepass_fallback += pre_after.fallback - pre_before.fallback;
+                                   options, &governor, &result));
+  decisions.AddTo(&result.stats);
   return result;
 }
 

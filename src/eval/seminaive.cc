@@ -1,19 +1,15 @@
 #include "eval/seminaive.h"
 
-#include <memory>
 #include <numeric>
-#include <optional>
 
-#include "constraint/decision_cache.h"
-#include "constraint/interval.h"
 #include "eval/fixpoint.h"
 #include "eval/validate.h"
-#include "util/thread_pool.h"
 
 namespace cqlopt {
 namespace {
 
 using eval_internal::CheckEvalOptions;
+using eval_internal::DecisionCounterScope;
 using eval_internal::FactsSoFar;
 using eval_internal::Governor;
 using eval_internal::GovernedAbort;
@@ -34,21 +30,16 @@ Result<EvalResult> EvaluateStratified(const Program& program,
   EvalResult result;
   result.db = edb;  // EDB facts carry birth -1.
 
-  // One pool for the whole evaluation: workers survive across iterations
-  // and strata, idling between the fork-join batches.
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
-
   eval_internal::StratifiedPlan plan = eval_internal::PlanStratified(program);
   CQLOPT_RETURN_IF_ERROR(eval_internal::RunStrata(
       program, plan, /*first_component=*/0, /*start_iteration=*/0, options,
-      governor, pool.get(), &result));
+      governor, &result));
   return result;
 }
 
 /// The kNaive / kSemiNaive oracle loop: every rule in one global fixpoint,
-/// linear-scan joins, always serial (the oracles define the reference
-/// behaviour the parallel stratified path must reproduce).
+/// linear-scan joins (the oracles define the reference behaviour the
+/// stratified path must reproduce).
 Result<EvalResult> EvaluateGlobal(const Program& program, const Database& edb,
                                   const EvalOptions& options,
                                   Governor* governor) {
@@ -68,7 +59,7 @@ Result<EvalResult> EvaluateGlobal(const Program& program, const Database& edb,
         program, all_rules, iteration,
         /*fire_constraint_facts=*/iteration == 0, require_delta,
         /*use_index=*/false, /*delta_rotate=*/false, /*interval_index=*/false,
-        options, governor, /*pool=*/nullptr, &result);
+        options, governor, &result);
     if (!ran.ok()) {
       if (Governor::IsAbortCode(ran.status().code())) {
         return GovernedAbort(ran.status(), position(), options, &result);
@@ -104,29 +95,13 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
   CQLOPT_RETURN_IF_ERROR(ValidateProgram(
       program, {/*reject_free_head_vars=*/false,
                 /*reject_constraint_only_recursion=*/true}));
-  // The decision cache is process-wide; attribute its activity to this
-  // evaluation by differencing the counters around the run. Same deal for
-  // the interval-prepass counters; the EvalOptions::prepass toggle holds
-  // the process-wide enable flag down for the duration of the call.
-  std::optional<prepass::PrepassDisabler> prepass_off;
-  if (!options.prepass) prepass_off.emplace();
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
+  DecisionCounterScope decisions(options);
   Governor governor(options, /*baseline_inserted=*/0);
   Result<EvalResult> result =
       options.strategy == EvalStrategy::kStratified
           ? EvaluateStratified(program, edb, options, &governor)
           : EvaluateGlobal(program, edb, options, &governor);
-  if (result.ok()) {
-    DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-    result->stats.cache_hits = after.hits - before.hits;
-    result->stats.cache_misses = after.misses - before.misses;
-    result->stats.cache_evictions = after.evictions - before.evictions;
-    prepass::Counters pre_after = prepass::Snapshot();
-    result->stats.prepass_conclusive =
-        pre_after.conclusive() - pre_before.conclusive();
-    result->stats.prepass_fallback = pre_after.fallback - pre_before.fallback;
-  }
+  if (result.ok()) decisions.AddTo(&result->stats);
   return result;
 }
 
@@ -161,10 +136,7 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
         where + "; " + FactsSoFar(base) +
         "; re-evaluate from scratch (with a higher max_iterations) instead");
   }
-  std::optional<prepass::PrepassDisabler> prepass_off;
-  if (!options.prepass) prepass_off.emplace();
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
+  DecisionCounterScope decisions(options);
   const long baseline_inserted = base.stats.inserted;
   Governor governor(options, baseline_inserted);
   EvalResult result = std::move(base);
@@ -185,9 +157,6 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
     result.trace.emplace_back();
   }
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
-
   std::vector<size_t> all_rules(program.rules.size());
   std::iota(all_rules.begin(), all_rules.end(), 0);
   result.stats.reached_fixpoint = false;
@@ -204,7 +173,7 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
         program, all_rules, iteration,
         /*fire_constraint_facts=*/false, /*require_delta=*/true,
         /*use_index=*/true, /*delta_rotate=*/true, options.interval_index,
-        options, &governor, pool.get(), &result);
+        options, &governor, &result);
     if (!ran.ok()) {
       if (Governor::IsAbortCode(ran.status().code())) {
         return GovernedAbort(ran.status(), position(), options, &result);
@@ -227,14 +196,7 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
     result.stats.facts_per_pred[pred] = static_cast<long>(rel.size());
   }
   result.stats.interval_index_build_ns = result.db.IntervalBuildNs();
-  DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-  result.stats.cache_hits += after.hits - before.hits;
-  result.stats.cache_misses += after.misses - before.misses;
-  result.stats.cache_evictions += after.evictions - before.evictions;
-  prepass::Counters pre_after = prepass::Snapshot();
-  result.stats.prepass_conclusive +=
-      pre_after.conclusive() - pre_before.conclusive();
-  result.stats.prepass_fallback += pre_after.fallback - pre_before.fallback;
+  decisions.AddTo(&result.stats);
   return result;
 }
 

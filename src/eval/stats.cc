@@ -2,22 +2,6 @@
 
 namespace cqlopt {
 
-void EvalStats::MergeWorkerCounters(const EvalStats& worker) {
-  derivations += worker.derivations;
-  index_probes += worker.index_probes;
-  scan_probes += worker.scan_probes;
-  index_candidates += worker.index_candidates;
-  scan_candidates += worker.scan_candidates;
-  indexed_scan_equivalent += worker.indexed_scan_equivalent;
-  interval_probes += worker.interval_probes;
-  interval_candidates += worker.interval_candidates;
-  interval_scan_equivalent += worker.interval_scan_equivalent;
-  interval_runs_pruned += worker.interval_runs_pruned;
-  for (const auto& [rule, count] : worker.derivations_per_rule) {
-    derivations_per_rule[rule] += count;
-  }
-}
-
 std::string EvalStats::ToString(const SymbolTable& symbols) const {
   std::string out = "derivations=" + std::to_string(derivations) +
                     " inserted=" + std::to_string(inserted) +

@@ -86,11 +86,11 @@ Result<std::unique_ptr<QueryService>> QueryService::FromText(
 
 Result<std::unique_ptr<QueryService>> QueryService::FromParts(
     Program program, Database edb, ServiceOptions options) {
-  if (options.eval.max_iterations < 0 || options.eval.threads < 0 ||
-      options.eval.deadline_ms < 0 || options.eval.max_derived_facts < 0) {
+  if (options.eval.max_iterations < 0 || options.eval.deadline_ms < 0 ||
+      options.eval.max_derived_facts < 0) {
     return Status::InvalidArgument(
-        "ServiceOptions::eval has a negative max_iterations, threads, "
-        "deadline_ms, or max_derived_facts");
+        "ServiceOptions::eval has a negative max_iterations, deadline_ms, "
+        "or max_derived_facts");
   }
   // Traces are never served and rendering them would read the symbol table
   // from inside the (unlocked) evaluation. Abort stats can't be handed to
@@ -135,12 +135,14 @@ Result<std::shared_ptr<PreparedEntry>> QueryService::PrepareEntry(
   auto entry = std::make_shared<PreparedEntry>();
   entry->fingerprint = fingerprint;
   entry->canonical = std::move(canonical);
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(
-        entry->prepared,
-        ApplyPipeline(program_, query, steps, options_.pipeline));
-  }
+  // Insert before releasing the symbol table, so concurrent misses on one
+  // key reach the cache in rewrite order: the established entry is always
+  // the first rewrite, whose fresh predicate names (p_bbff, not the loser's
+  // p_bbff_2) are the ones a serial run would have made.
+  std::lock_guard<std::mutex> lock(symbols_mutex_);
+  CQLOPT_ASSIGN_OR_RETURN(
+      entry->prepared,
+      ApplyPipeline(program_, query, steps, options_.pipeline));
   return prepared_.Insert(std::move(entry));
 }
 

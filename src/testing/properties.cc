@@ -27,22 +27,18 @@ namespace cqlopt {
 namespace testing {
 namespace {
 
-EvalOptions EngineOptions(const FuzzOptions& fo, EvalStrategy strategy,
-                          int threads = 0) {
+EvalOptions EngineOptions(const FuzzOptions& fo, EvalStrategy strategy) {
   EvalOptions opts;
   opts.max_iterations = fo.eval_max_iterations;
   opts.subsumption = fo.subsumption;
   opts.strategy = strategy;
-  // 0 (the default) defers to the harness-wide knob; properties that pin a
-  // specific count (strategy_confluence) pass it explicitly.
-  opts.threads = threads > 0 ? threads : fo.eval_threads;
   opts.prepass = fo.prepass;
   return opts;
 }
 
 /// Key + birth of every stored fact, in storage order — the byte-level
-/// fingerprint the deterministic-parallelism contract promises is thread-
-/// count independent (seminaive.h EvalOptions::threads).
+/// fingerprint the exact-path differentials (retract_vs_scratch,
+/// prepass_equiv, interval_equiv) compare.
 std::string StorageFingerprint(const EvalResult& r) {
   std::string out;
   for (const auto& [pred, rel] : r.db.relations()) {
@@ -109,26 +105,22 @@ PropertyOutcome OracleEquiv(const FuzzCase& c, const FuzzOptions& fo) {
 }
 
 // ---------------------------------------------------------------------------
-// strategy_confluence: every strategy and thread count, one fixpoint.
+// strategy_confluence: every strategy, one fixpoint.
 
 PropertyOutcome StrategyConfluence(const FuzzCase& c, const FuzzOptions& fo) {
   Database db = BuildDatabase(c);
   struct Run {
     const char* name;
     EvalStrategy strategy;
-    int threads;
   };
   const Run runs[] = {
-      {"naive", EvalStrategy::kNaive, 1},
-      {"semi-naive", EvalStrategy::kSemiNaive, 1},
-      {"stratified", EvalStrategy::kStratified, 1},
-      {"stratified-t2", EvalStrategy::kStratified, 2},
-      {"stratified-t8", EvalStrategy::kStratified, 8},
+      {"naive", EvalStrategy::kNaive},
+      {"semi-naive", EvalStrategy::kSemiNaive},
+      {"stratified", EvalStrategy::kStratified},
   };
   std::vector<EvalResult> results;
   for (const Run& run : runs) {
-    auto r = Evaluate(c.program, db,
-                      EngineOptions(fo, run.strategy, run.threads));
+    auto r = Evaluate(c.program, db, EngineOptions(fo, run.strategy));
     if (!r.ok()) {
       return PropertyOutcome::Fail(std::string(run.name) +
                                    " evaluation failed: " +
@@ -150,17 +142,6 @@ PropertyOutcome StrategyConfluence(const FuzzCase& c, const FuzzOptions& fo) {
                                    CountsByPred(other) + " vs " +
                                    CountsByPred(baseline));
     }
-  }
-  // The parallel contract is stronger than semantic agreement: identical
-  // storage (fact keys, order, birth stamps) at every thread count.
-  std::string serial = StorageFingerprint(results[2]);
-  if (StorageFingerprint(results[3]) != serial) {
-    return PropertyOutcome::Fail(
-        "stratified t=2 storage differs from serial");
-  }
-  if (StorageFingerprint(results[4]) != serial) {
-    return PropertyOutcome::Fail(
-        "stratified t=8 storage differs from serial");
   }
   return PropertyOutcome::Ok();
 }
@@ -1819,8 +1800,7 @@ const std::vector<PropertyInfo>& AllProperties() {
            "semi-naive engine matches the naive reference oracle",
            &OracleEquiv},
           {"strategy_confluence",
-           "naive / semi-naive / stratified / parallel agree; parallel "
-           "storage is byte-identical to serial",
+           "naive / semi-naive / stratified agree",
            &StrategyConfluence},
           {"rewrite_equiv",
            "pred / qrp / magic / balbin pipelines preserve query answers",

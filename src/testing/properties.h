@@ -17,8 +17,7 @@ namespace testing {
 /// system promises:
 ///
 ///   oracle_equiv        engine (semi-naive) ≡ the naive reference oracle
-///   strategy_confluence naive ≡ semi-naive ≡ stratified ≡ parallel{2,8},
-///                       with the parallel runs byte-identical to serial
+///   strategy_confluence naive ≡ semi-naive ≡ stratified
 ///   rewrite_equiv       rewritten(P) ≡ P for pred / qrp / magic / balbin
 ///                       pipelines (Theorems 4.3, 6.2, 7.x empirically)
 ///   fm_projection       Fourier–Motzkin projection ≡ pointwise ∃-check on
@@ -97,9 +96,6 @@ struct FuzzOptions {
   /// when one does, the property reports skipped, not failed.
   int eval_max_iterations = 48;
   SubsumptionMode subsumption = SubsumptionMode::kSingleFact;
-  /// Worker threads for evaluations that don't pin their own count —
-  /// the replay matrix in tests/test_service.cc sweeps this.
-  int eval_threads = 1;
   /// Interval-prepass toggle applied to every evaluation (prepass_equiv
   /// overrides it per arm).
   bool prepass = true;

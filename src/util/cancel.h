@@ -19,8 +19,8 @@ namespace cqlopt {
 ///
 /// Cancellation is cooperative and sticky: once requested it cannot be
 /// withdrawn, and the governed operation observes it at its next check
-/// point (iteration and rule-batch boundaries, and inside parallel
-/// workers), returning StatusCode::kCancelled.
+/// point (iteration and rule-batch boundaries, and every ~64 derivations
+/// inside rule application), returning StatusCode::kCancelled.
 class CancelToken {
  public:
   /// Inert token: cancel_requested() is permanently false.

@@ -335,18 +335,6 @@ TEST(EvalTest, RejectsNegativeMaxIterations) {
   EXPECT_NE(result.status().message().find("-1"), std::string::npos);
 }
 
-TEST(EvalTest, RejectsNegativeThreads) {
-  Program p = ParseOrDie("t(X, Y) :- e(X, Y).\n");
-  Database edb = EdgeDb(p.symbols.get(), {{1, 2}});
-  EvalOptions options;
-  options.threads = -4;
-  auto result = Evaluate(p, edb, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("threads"), std::string::npos)
-      << result.status().message();
-  EXPECT_NE(result.status().message().find("-4"), std::string::npos);
-}
 
 TEST(EvalTest, ZeroIterationsReturnsEdbWithoutFixpoint) {
   Program p = ParseOrDie("t(X, Y) :- e(X, Y).\n");

@@ -58,54 +58,45 @@ TEST(GovernanceTest, FactBudgetAbortsWithResourceExhausted) {
   EXPECT_GT(partial.inserted, 10);
 }
 
-TEST(GovernanceTest, FactBudgetAbortIsThreadCountInvariant) {
-  // The budget is only checked at the serial iteration boundary, so the
-  // abort point — and the partial database the service would discard — is
-  // byte-identical at any thread count. Re-proven with the interval
-  // prepass on and off: the fast decision tier changes which machinery
-  // answers constraint queries, never how many facts an iteration stores,
-  // so the abort point is invariant across that dimension too.
+TEST(GovernanceTest, FactBudgetAbortIsPrepassInvariant) {
+  // The budget is only checked at the iteration boundary, so the abort
+  // point — and the partial database the service would discard — is a
+  // fully committed iteration. The fast decision tier changes which
+  // machinery answers constraint queries, never how many facts an
+  // iteration stores, so the abort point is the same with the interval
+  // prepass on and off.
   Program p = Counter();
   std::string first_point;
   long first_inserted = -1;
   for (bool prepass : {true, false}) {
-    for (int threads : {1, 2, 8}) {
-      EvalOptions options = Governed();
-      options.threads = threads;
-      options.prepass = prepass;
-      options.max_derived_facts = 25;
-      EvalStats partial;
-      options.abort_stats = &partial;
-      auto result = Evaluate(p, Database(), options);
-      ASSERT_FALSE(result.ok())
-          << "threads=" << threads << " prepass=" << prepass;
-      EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-      if (first_inserted < 0) {
-        first_point = partial.abort_point;
-        first_inserted = partial.inserted;
-      } else {
-        EXPECT_EQ(partial.abort_point, first_point)
-            << "threads=" << threads << " prepass=" << prepass;
-        EXPECT_EQ(partial.inserted, first_inserted)
-            << "threads=" << threads << " prepass=" << prepass;
-      }
+    EvalOptions options = Governed();
+    options.prepass = prepass;
+    options.max_derived_facts = 25;
+    EvalStats partial;
+    options.abort_stats = &partial;
+    auto result = Evaluate(p, Database(), options);
+    ASSERT_FALSE(result.ok()) << "prepass=" << prepass;
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+    if (first_inserted < 0) {
+      first_point = partial.abort_point;
+      first_inserted = partial.inserted;
+    } else {
+      EXPECT_EQ(partial.abort_point, first_point) << "prepass=" << prepass;
+      EXPECT_EQ(partial.inserted, first_inserted) << "prepass=" << prepass;
     }
   }
 }
 
 TEST(GovernanceTest, DeadlineAbortsADivergingEvaluation) {
   Program p = Counter();
-  for (int threads : {1, 8}) {
-    EvalOptions options = Governed();
-    options.threads = threads;
-    options.deadline_ms = 5;
-    auto result = Evaluate(p, Database(), options);
-    ASSERT_FALSE(result.ok()) << "threads=" << threads;
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-    EXPECT_NE(result.status().message().find("wall-clock deadline of 5ms"),
-              std::string::npos)
-        << result.status().message();
-  }
+  EvalOptions options = Governed();
+  options.deadline_ms = 5;
+  auto result = Evaluate(p, Database(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(result.status().message().find("wall-clock deadline of 5ms"),
+            std::string::npos)
+      << result.status().message();
 }
 
 TEST(GovernanceTest, PreCancelledTokenAbortsImmediately) {
@@ -120,20 +111,17 @@ TEST(GovernanceTest, PreCancelledTokenAbortsImmediately) {
 
 TEST(GovernanceTest, CancelFromAnotherThreadAborts) {
   Program p = Counter();
-  for (int threads : {1, 8}) {
-    EvalOptions options = Governed();
-    options.threads = threads;
-    options.cancel = CancelToken::Cancellable();
-    CancelToken token = options.cancel;
-    std::thread killer([token] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      token.RequestCancel();
-    });
-    auto result = Evaluate(p, Database(), options);
-    killer.join();
-    ASSERT_FALSE(result.ok()) << "threads=" << threads;
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  }
+  EvalOptions options = Governed();
+  options.cancel = CancelToken::Cancellable();
+  CancelToken token = options.cancel;
+  std::thread killer([token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    token.RequestCancel();
+  });
+  auto result = Evaluate(p, Database(), options);
+  killer.join();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
 TEST(GovernanceTest, LimitsOffMeansUnlimited) {

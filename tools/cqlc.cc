@@ -27,11 +27,13 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "numeric_flags.h"
 #include "service/client.h"
 
 namespace {
@@ -106,33 +108,32 @@ int main(int argc, char** argv) {
   int retries = 2;
   int retry_backoff_ms = 100;
   std::vector<std::string> requests;
+  using cqlopt_tools::Store;
+  constexpr long kIntMax = std::numeric_limits<int>::max();
+  const std::vector<cqlopt_tools::NumericFlag> numeric_flags = {
+      {"--connect-timeout-ms", 0, kIntMax, Store(&connect_timeout_ms)},
+      {"--read-timeout-ms", 0, kIntMax, Store(&read_timeout_ms)},
+      {"--retries", 0, 100, Store(&retries)},
+      {"--retry-backoff-ms", 0, 600000, Store(&retry_backoff_ms)},
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    cqlopt_tools::FlagMatch numeric =
+        cqlopt_tools::MatchNumericFlag("cqlc", numeric_flags, argc, argv, &i);
+    if (numeric == cqlopt_tools::FlagMatch::kBad) return kExitUsage;
+    if (numeric == cqlopt_tools::FlagMatch::kParsed) continue;
     if (arg == "--socket") {
       if (const char* v = next()) socket_list = v; else return Usage(argv[0]);
     } else if (arg == "--tcp") {
       if (const char* v = next()) tcp_list = v; else return Usage(argv[0]);
-    } else if (arg == "--connect-timeout-ms") {
-      if (const char* v = next()) connect_timeout_ms = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--read-timeout-ms") {
-      if (const char* v = next()) read_timeout_ms = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--retries") {
-      if (const char* v = next()) retries = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--retry-backoff-ms") {
-      if (const char* v = next()) retry_backoff_ms = std::atoi(v);
-      else return Usage(argv[0]);
     } else {
       requests.push_back(arg);
     }
   }
   if (socket_list.empty() == tcp_list.empty()) return Usage(argv[0]);
-  if (retries < 0) retries = 0;
 
   std::vector<Endpoint> endpoints;
   if (!ParseEndpoints(tcp_list.empty() ? socket_list : tcp_list,

@@ -38,14 +38,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "numeric_flags.h"
 #include "service/replica.h"
 #include "service/server.h"
 
@@ -56,7 +58,7 @@ int Usage(const char* argv0) {
       << "usage: " << argv0
       << " --program <file.cql> [--edb <file.cql>]"
       << " (--socket <path> | --tcp-port N | --stdio)\n"
-      << "       [--threads N] [--max-iterations N]"
+      << "       [--max-iterations N]"
       << " [--subsumption none|single-fact|set-implication]\n"
       << "       [--prepared-capacity N] [--wal-dir DIR]"
       << " [--wal-compact-bytes N]\n"
@@ -100,11 +102,33 @@ int main(int argc, char** argv) {
   cqlopt::ServiceOptions options;
   cqlopt::ServerOptions server;
 
+  using cqlopt_tools::Store;
+  constexpr long kIntMax = std::numeric_limits<int>::max();
+  constexpr long kLongMax = std::numeric_limits<long>::max();
+  const std::vector<cqlopt_tools::NumericFlag> numeric_flags = {
+      {"--tcp-port", 0, 65535, Store(&server.tcp_port)},
+      {"--workers", 1, 256, Store(&server.scheduler.workers)},
+      {"--queue-depth", 1, 1 << 20, Store(&server.scheduler.queue_depth)},
+      {"--listen-backlog", 1, 65535, Store(&server.listen_backlog)},
+      {"--max-iterations", 0, kIntMax, Store(&options.eval.max_iterations)},
+      {"--prepared-capacity", 1, 1 << 20, Store(&options.prepared_capacity)},
+      {"--wal-compact-bytes", 0, kLongMax, Store(&options.wal_compact_bytes)},
+      {"--query-deadline-ms", 0, kLongMax, Store(&options.eval.deadline_ms)},
+      {"--max-derived-facts", 0, kLongMax,
+       Store(&options.eval.max_derived_facts)},
+      {"--replica-timeout-ms", 1, kIntMax, Store(&replica_timeout_ms)},
+      {"--drain-timeout-ms", 0, kIntMax, Store(&server.drain_timeout_ms)},
+  };
+
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    cqlopt_tools::FlagMatch numeric =
+        cqlopt_tools::MatchNumericFlag("cqld", numeric_flags, argc, argv, &i);
+    if (numeric == cqlopt_tools::FlagMatch::kBad) return 2;
+    if (numeric == cqlopt_tools::FlagMatch::kParsed) continue;
     if (arg == "--program") {
       if (const char* v = next()) program_path = v; else return Usage(argv[0]);
     } else if (arg == "--edb") {
@@ -113,25 +137,21 @@ int main(int argc, char** argv) {
       if (const char* v = next()) socket_path = v; else return Usage(argv[0]);
     } else if (arg == "--stdio") {
       stdio = true;
-    } else if (arg == "--tcp-port") {
-      if (const char* v = next()) server.tcp_port = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--workers") {
-      if (const char* v = next()) server.scheduler.workers = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--queue-depth") {
-      if (const char* v = next()) server.scheduler.queue_depth = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--listen-backlog") {
-      if (const char* v = next()) server.listen_backlog = std::atoi(v);
-      else return Usage(argv[0]);
     } else if (arg == "--priority-weights") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
+      const std::string list = v;
       long weights[cqlopt::kPriorityClasses];
-      if (std::sscanf(v, "%ld,%ld,%ld", &weights[0], &weights[1],
-                      &weights[2]) != 3 ||
-          weights[0] < 1 || weights[1] < 1 || weights[2] < 1) {
+      bool ok = std::count(list.begin(), list.end(), ',') ==
+                cqlopt::kPriorityClasses - 1;
+      std::istringstream items(list);
+      std::string item;
+      for (int c = 0; ok && c < cqlopt::kPriorityClasses; ++c) {
+        ok = std::getline(items, item, ',') &&
+             cqlopt_tools::ParseLongInRange(item.c_str(), 1, kLongMax,
+                                            &weights[c]);
+      }
+      if (!ok) {
         std::cerr << "cqld: --priority-weights needs three positive "
                      "integers, e.g. 8,4,1\n";
         return 2;
@@ -139,38 +159,11 @@ int main(int argc, char** argv) {
       for (int c = 0; c < cqlopt::kPriorityClasses; ++c) {
         server.scheduler.weights[c] = weights[c];
       }
-    } else if (arg == "--threads") {
-      if (const char* v = next()) options.eval.threads = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--max-iterations") {
-      if (const char* v = next()) options.eval.max_iterations = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--prepared-capacity") {
-      if (const char* v = next()) {
-        options.prepared_capacity = static_cast<size_t>(std::atol(v));
-      } else {
-        return Usage(argv[0]);
-      }
     } else if (arg == "--wal-dir") {
       if (const char* v = next()) options.wal_dir = v;
       else return Usage(argv[0]);
-    } else if (arg == "--wal-compact-bytes") {
-      if (const char* v = next()) options.wal_compact_bytes = std::atol(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--query-deadline-ms") {
-      if (const char* v = next()) options.eval.deadline_ms = std::atol(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--max-derived-facts") {
-      if (const char* v = next()) options.eval.max_derived_facts = std::atol(v);
-      else return Usage(argv[0]);
     } else if (arg == "--follow") {
       if (const char* v = next()) follow_endpoint = v;
-      else return Usage(argv[0]);
-    } else if (arg == "--replica-timeout-ms") {
-      if (const char* v = next()) replica_timeout_ms = std::atoi(v);
-      else return Usage(argv[0]);
-    } else if (arg == "--drain-timeout-ms") {
-      if (const char* v = next()) server.drain_timeout_ms = std::atoi(v);
       else return Usage(argv[0]);
     } else if (arg == "--subsumption") {
       const char* v = next();
