@@ -130,18 +130,15 @@ void PrintReproduction() {
                 run.db.TotalFacts() - db.TotalFacts(), run.stats.derivations);
   }
 
-  // Tentpole comparison: SCC-stratified evaluation with hash-indexed joins
-  // vs the global semi-naive oracle. The recursive flight rule joins on the
-  // connecting airport symbol, so the index prunes most leg candidates.
+  // Join access paths: the recursive flight rule joins on the connecting
+  // airport symbol, so the hash index prunes most leg candidates.
   std::printf("\n");
-  PrintStratifiedComparison(in.program, db, "original, 12 airports/48 legs");
-  PrintStratifiedComparison(rewritten.program, db,
-                            "pred,qrp, 12 airports/48 legs");
+  PrintAccessPaths(in.program, db, "original, 12 airports/48 legs");
+  PrintAccessPaths(rewritten.program, db, "pred,qrp, 12 airports/48 legs");
   std::printf("\n");
 }
 
-void BM_FlightsArm(benchmark::State& state, const char* spec,
-                   EvalStrategy strategy = EvalStrategy::kSemiNaive) {
+void BM_FlightsArm(benchmark::State& state, const char* spec) {
   ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
   Database db = MakeNetwork(in.program.symbols.get(), 12,
                             static_cast<int>(state.range(0)), 42);
@@ -151,7 +148,6 @@ void BM_FlightsArm(benchmark::State& state, const char* spec,
       ValueOrDie(ApplyPipeline(in.program, in.query, steps, options), spec);
   EvalOptions eval;
   eval.max_iterations = 64;
-  eval.strategy = strategy;
   for (auto _ : state) {
     auto run = Evaluate(rewritten.program, db, eval);
     benchmark::DoNotOptimize(run.ok());
@@ -168,17 +164,9 @@ void BM_FlightsPredQrp(benchmark::State& state) {
 void BM_FlightsOptimal(benchmark::State& state) {
   BM_FlightsArm(state, "pred,qrp,mg");
 }
-void BM_FlightsOriginalStratified(benchmark::State& state) {
-  BM_FlightsArm(state, "", EvalStrategy::kStratified);
-}
-void BM_FlightsPredQrpStratified(benchmark::State& state) {
-  BM_FlightsArm(state, "pred,qrp", EvalStrategy::kStratified);
-}
 BENCHMARK(BM_FlightsOriginal)->Arg(24)->Arg(48);
 BENCHMARK(BM_FlightsPredQrp)->Arg(24)->Arg(48);
 BENCHMARK(BM_FlightsOptimal)->Arg(24)->Arg(48);
-BENCHMARK(BM_FlightsOriginalStratified)->Arg(24)->Arg(48);
-BENCHMARK(BM_FlightsPredQrpStratified)->Arg(24)->Arg(48);
 
 // Constrained-join ablation (DESIGN.md §12): time-budgeted leg selection
 // over a large leg relation. Each budget fact binds B to a point, so the

@@ -51,12 +51,11 @@ void PrintReproduction() {
   }
   std::printf("\n");
 
-  // Tentpole comparison at the same iteration cap: m_fib and fib form one
-  // SCC, so the stratified run coincides with the oracle's trace; the win
-  // is the hash index resolving the constant-bound m_fib/fib literals of
-  // r1, r2 and the second magic rule without scanning every fact.
-  PrintStratifiedComparison(magic.program, Database(),
-                            "P_fib^mg, capped at 9 iterations", 9);
+  // Join access paths at the same iteration cap: the hash index resolves
+  // the constant-bound m_fib/fib literals of r1, r2 and the second magic
+  // rule without scanning every fact.
+  PrintAccessPaths(magic.program, Database(),
+                   "P_fib^mg, capped at 9 iterations", 9);
   std::printf("\n");
 }
 
@@ -82,19 +81,6 @@ void BM_EvaluateFibMagicCapped(benchmark::State& state) {
   state.SetLabel("iterations=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_EvaluateFibMagicCapped)->Arg(9)->Arg(16)->Arg(24);
-
-void BM_EvaluateFibMagicCappedStratified(benchmark::State& state) {
-  MagicResult magic = RewriteFib();
-  EvalOptions eval;
-  eval.max_iterations = static_cast<int>(state.range(0));
-  eval.strategy = EvalStrategy::kStratified;
-  for (auto _ : state) {
-    auto run = Evaluate(magic.program, Database(), eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-  state.SetLabel("iterations=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_EvaluateFibMagicCappedStratified)->Arg(9)->Arg(16)->Arg(24);
 
 }  // namespace
 }  // namespace bench

@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -87,57 +86,20 @@ inline EvalResult RunPipeline(const ParsedInput& in, const Database& db,
   return ValueOrDie(Evaluate(rewritten.program, db, eval), spec);
 }
 
-/// Tentpole comparison: evaluates `program` under the global semi-naive
-/// oracle and under EvalStrategy::kStratified, verifies both compute the
-/// same final fact sets, and prints the join access-path counters. The
+/// Evaluates `program` and prints the join access-path counters. The
 /// "scan-equivalent" column is what the linear scans replaced by index
 /// probes would have enumerated, so indexed vs scan-equivalent is the
 /// candidate-enumeration saving of the hash indexes on this workload.
-inline void PrintStratifiedComparison(const Program& program,
-                                      const Database& edb, const char* label,
-                                      int max_iterations = 64) {
-  EvalOptions oracle_opts;
-  oracle_opts.max_iterations = max_iterations;
-  EvalResult oracle = ValueOrDie(Evaluate(program, edb, oracle_opts), label);
-  EvalOptions strat_opts;
-  strat_opts.max_iterations = max_iterations;
-  strat_opts.strategy = EvalStrategy::kStratified;
-  EvalResult strat = ValueOrDie(Evaluate(program, edb, strat_opts), label);
-
-  // Per-predicate canonical key sets; on mismatch fall back to the semantic
-  // check (reconciliation may keep different but equivalent representatives).
-  bool same = oracle.stats.reached_fixpoint == strat.stats.reached_fixpoint;
-  std::set<PredId> preds;
-  for (const auto& [pred, rel] : oracle.db.relations()) preds.insert(pred);
-  for (const auto& [pred, rel] : strat.db.relations()) preds.insert(pred);
-  for (PredId pred : preds) {
-    std::set<std::string> a;
-    std::set<std::string> b;
-    std::vector<Fact> fa;
-    std::vector<Fact> fb;
-    if (const Relation* rel = oracle.db.Find(pred)) {
-      for (size_t i = 0; i < rel->size(); ++i) {
-        a.insert(rel->fact(i).Key());
-        fa.push_back(rel->fact(i));
-      }
-    }
-    if (const Relation* rel = strat.db.Find(pred)) {
-      for (size_t i = 0; i < rel->size(); ++i) {
-        b.insert(rel->fact(i).Key());
-        fb.push_back(rel->fact(i));
-      }
-    }
-    if (a == b) continue;
-    if (fa.empty() != fb.empty() || !SameAnswers(fa, fb)) same = false;
-  }
-
-  const EvalStats& s = strat.stats;
-  std::printf("--- SCC-stratified vs global semi-naive oracle (%s) ---\n",
-              label);
-  std::printf("same final facts: %s   sccs=%zu   iterations: oracle=%d "
-              "stratified=%d\n",
-              same ? "yes" : "NO (MISMATCH)", s.scc_iterations.size(),
-              oracle.stats.iterations, s.iterations);
+inline void PrintAccessPaths(const Program& program, const Database& edb,
+                             const char* label, int max_iterations = 64) {
+  EvalOptions opts;
+  opts.max_iterations = max_iterations;
+  EvalResult run = ValueOrDie(Evaluate(program, edb, opts), label);
+  const EvalStats& s = run.stats;
+  std::printf("--- join access paths (%s) ---\n", label);
+  std::printf("fixpoint: %s   sccs=%zu   iterations=%d\n",
+              s.reached_fixpoint ? "yes" : "no (capped)",
+              s.scc_iterations.size(), s.iterations);
   double ratio = s.index_candidates > 0
                      ? static_cast<double>(s.indexed_scan_equivalent) /
                            static_cast<double>(s.index_candidates)
@@ -179,15 +141,13 @@ inline bool StripJsonFlag(int* argc, char** argv) {
 /// One measured arm of a WriteBenchJson report.
 struct JsonArm {
   std::string label;
-  EvalStrategy strategy = EvalStrategy::kStratified;
   bool cache = true;
   bool prepass = true;
   bool interval = true;
 };
 
-/// `--json` mode: evaluates `program` once per arm — the semi-naive oracle,
-/// the stratified engine, and stratified cache-off / prepass-off /
-/// interval-index-off ablations — and writes BENCH_<name>.json with the
+/// `--json` mode: evaluates `program` once per arm — the engine, and its
+/// cache-off / prepass-off / interval-index-off ablations — and writes BENCH_<name>.json with the
 /// wall-clock and the derivation/probe/cache/prepass/interval counters of
 /// each arm, plus the
 /// columnar-storage footprint (approximate resident bytes and bytes per
@@ -201,13 +161,10 @@ inline void WriteBenchJson(const char* name, const Program& program,
                            const Database& edb, int max_iterations = 64,
                            const std::string& extra_sections = "") {
   const JsonArm arms[] = {
-      {"seminaive-oracle", EvalStrategy::kSemiNaive, true, true, true},
-      {"stratified-t1", EvalStrategy::kStratified, true, true, true},
-      {"stratified-t1-nocache", EvalStrategy::kStratified, false, true, true},
-      {"stratified-t1-noprepass", EvalStrategy::kStratified, true, false,
-       true},
-      {"stratified-t1-nointerval", EvalStrategy::kStratified, true, true,
-       false},
+      {"stratified-t1", true, true, true},
+      {"stratified-t1-nocache", false, true, true},
+      {"stratified-t1-noprepass", true, false, true},
+      {"stratified-t1-nointerval", true, true, false},
   };
   std::string json = "{\n  \"bench\": \"" + std::string(name) +
                      "\",\n  \"arms\": [\n";
@@ -219,7 +176,6 @@ inline void WriteBenchJson(const char* name, const Program& program,
     prepass::ClearMemo();
     EvalOptions opts;
     opts.max_iterations = max_iterations;
-    opts.strategy = arm.strategy;
     opts.prepass = arm.prepass;
     opts.interval_index = arm.interval;
     auto start = std::chrono::steady_clock::now();
@@ -297,7 +253,6 @@ inline std::string MeasureIntervalAblation(const char* label,
       prepass::ClearMemo();
       EvalOptions opts;
       opts.max_iterations = max_iterations;
-      opts.strategy = EvalStrategy::kStratified;
       opts.interval_index = arm == 0;
       auto start = std::chrono::steady_clock::now();
       EvalResult run = ValueOrDie(Evaluate(program, edb, opts), label);
@@ -417,7 +372,6 @@ inline void WritePrepassJson(const char* workload, const Program& program,
       prepass::ClearMemo();
       EvalOptions opts;
       opts.max_iterations = max_iterations;
-      opts.strategy = EvalStrategy::kStratified;
       opts.subsumption = SubsumptionMode::kSetImplication;
       auto start = std::chrono::steady_clock::now();
       EvalResult run = ValueOrDie(Evaluate(program, edb, opts), workload);

@@ -22,17 +22,8 @@ class Database {
   /// (eval/retract.h).
   InsertOutcome AddFact(Fact fact) {
     return relations_[fact.pred].Insert(std::move(fact), /*birth=*/-1,
-                                        SubsumptionMode::kNone,
                                         /*rule_label=*/"", /*parents=*/{},
                                         /*edb=*/true);
-  }
-
-  InsertOutcome AddFact(Fact fact, int birth, SubsumptionMode mode,
-                        std::string rule_label = "",
-                        std::vector<Relation::FactRef> parents = {}) {
-    return relations_[fact.pred].Insert(std::move(fact), birth, mode,
-                                        std::move(rule_label),
-                                        std::move(parents));
   }
 
   /// Builds and inserts a ground fact from argument values, each either a

@@ -119,7 +119,7 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
 /// derivations into `pending` and counting into `stats`.
 Status ApplyOneRule(const Program& program, size_t rule_index,
                     const Database& db, int iteration, bool require_delta,
-                    bool use_index, bool delta_rotate, bool interval_index,
+                    bool delta_rotate, bool interval_index,
                     Governor* governor, std::vector<Pending>* pending,
                     EvalStats* stats) {
   // Rule-batch boundary check: keeps long rule sequences responsive even
@@ -139,7 +139,7 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
     return Status::OK();
   };
   return ApplyRule(rule, db, /*max_birth=*/iteration - 1, require_delta, emit,
-                   use_index, stats, delta_rotate, interval_index);
+                   stats, delta_rotate, interval_index);
 }
 
 }  // namespace
@@ -147,18 +147,17 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
 Result<long> RunIteration(const Program& program,
                           const std::vector<size_t>& rule_indexes,
                           int iteration, bool fire_constraint_facts,
-                          bool require_delta, bool use_index,
-                          bool delta_rotate, bool interval_index,
+                          bool require_delta, bool delta_rotate,
                           const EvalOptions& options, Governor* governor,
                           EvalResult* result) {
   std::vector<Pending> pending;
   for (size_t rule_index : rule_indexes) {
     if (program.rules[rule_index].IsConstraintFact() && !fire_constraint_facts)
       continue;
-    CQLOPT_RETURN_IF_ERROR(ApplyOneRule(program, rule_index, result->db,
-                                        iteration, require_delta, use_index,
-                                        delta_rotate, interval_index, governor,
-                                        &pending, &result->stats));
+    CQLOPT_RETURN_IF_ERROR(ApplyOneRule(
+        program, rule_index, result->db, iteration, require_delta,
+        delta_rotate, options.interval_index, governor, &pending,
+        &result->stats));
   }
   Reconcile(&pending, result->db, options.subsumption);
   long inserted = 0;
@@ -178,11 +177,11 @@ Result<long> RunIteration(const Program& program,
         ++result->stats.inserted;
         ++inserted;
         if (!p.ground) result->stats.all_ground = false;
-        PredId pred = p.fact.pred;
-        result->db.AddFact(std::move(p.fact), iteration,
-                           SubsumptionMode::kNone, p.rule_label,
-                           std::move(p.parents));
-        committed_row[i] = result->db.Find(pred)->size() - 1;
+        // Reconcile's pass 1 computed the key and groundness already.
+        Relation* rel = result->db.FindMutable(p.fact.pred);
+        rel->InsertKeyed(std::move(p.fact), std::move(p.key), p.ground,
+                         iteration, p.rule_label, std::move(p.parents));
+        committed_row[i] = rel->size() - 1;
         break;
       }
       case InsertOutcome::kSubsumed:
@@ -306,9 +305,8 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
       Result<long> ran = RunIteration(
           program, plan.rules_of[c], global_iteration,
           /*fire_constraint_facts=*/local == 0,
-          /*require_delta=*/local > 0, /*use_index=*/true,
-          /*delta_rotate=*/false, options.interval_index, options, governor,
-          result);
+          /*require_delta=*/local > 0, /*delta_rotate=*/false, options,
+          governor, result);
       if (!ran.ok()) {
         if (Governor::IsAbortCode(ran.status().code())) {
           return GovernedAbort(ran.status(), position(), options, result);

@@ -38,7 +38,7 @@ namespace eval_internal {
 ///    lands on an iteration boundary with a fully committed database.
 ///
 /// The returned Status carries the cause ("wall-clock deadline of 50ms
-/// expired"); the strategy loops annotate it with the position
+/// expired"); the fixpoint loops annotate it with the position
 /// (stratum / global iteration / facts stored) before surfacing it.
 class Governor {
  public:
@@ -83,7 +83,7 @@ class Governor {
   }
 
   /// True for codes a governed (or fault-injected) abort produces — the
-  /// errors whose message the strategy loops annotate with the abort
+  /// errors whose message the fixpoint loops annotate with the abort
   /// position and whose partial stats flow into EvalOptions::abort_stats.
   static bool IsAbortCode(StatusCode code) {
     return code == StatusCode::kDeadlineExceeded ||
@@ -150,7 +150,9 @@ class DecisionCounterScope {
 /// the rules in order under the given delta discipline, reconciles the
 /// buffered derivations as a set, and commits the survivors with birth
 /// `iteration`. Constraint facts (body-free rules) fire only when
-/// `fire_constraint_facts` is set. Returns the number of facts inserted.
+/// `fire_constraint_facts` is set; joins prune with the interval index
+/// when options.interval_index is set. Returns the number of facts
+/// inserted.
 ///
 /// The commit also maintains the counting state of DESIGN.md §14: a
 /// duplicate-discarded derivation bumps the stored row's support(), a
@@ -161,8 +163,7 @@ class DecisionCounterScope {
 Result<long> RunIteration(const Program& program,
                           const std::vector<size_t>& rule_indexes,
                           int iteration, bool fire_constraint_facts,
-                          bool require_delta, bool use_index,
-                          bool delta_rotate, bool interval_index,
+                          bool require_delta, bool delta_rotate,
                           const EvalOptions& options, Governor* governor,
                           EvalResult* result);
 
@@ -180,7 +181,7 @@ std::string FactsSoFar(const EvalResult& result);
 /// The shape of one SCC-stratified evaluation: the predicate dependency
 /// condensation in bottom-up order, each component's rules (assigned by
 /// head predicate), and whether the component is recursive (some rule body
-/// mentions a same-component predicate). Both Evaluate(kStratified) and
+/// mentions a same-component predicate). Both Evaluate and
 /// RetractEvaluate walk the same plan, which is what makes a retraction's
 /// kept-prefix / recomputed-suffix split line up with scratch evaluation
 /// iteration for iteration.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "constraint/implication.h"
-
 namespace cqlopt {
 
 namespace {
@@ -120,40 +118,19 @@ void Relation::SealTail(IntervalIndex* idx) {
   idx->runs.push_back(std::move(merged));
 }
 
-InsertOutcome Relation::Insert(Fact fact, int birth, SubsumptionMode mode,
-                               std::string rule_label,
+InsertOutcome Relation::Insert(Fact fact, int birth, std::string rule_label,
                                std::vector<FactRef> parents, bool edb) {
   std::string key = fact.Key();
-  if (keys_.count(key) > 0) return InsertOutcome::kDuplicate;
   bool is_ground = fact.IsGround();
-  if (mode == SubsumptionMode::kSingleFact) {
-    for (size_t i = 0; i < size_; ++i) {
-      // Fast path: a ground fact denotes a single point, so it can subsume
-      // another fact only if they are structurally identical — already
-      // excluded by the key check (facts are kept in canonical simplified
-      // form, see fm::RemoveRedundant's equality merging).
-      if (ground(i) && is_ground) continue;
-      const Fact& existing = this->fact(i);
-      if (existing.pred != fact.pred || existing.arity != fact.arity) {
-        continue;
-      }
-      if (Implies(fact.constraint, existing.constraint)) {
-        return InsertOutcome::kSubsumed;
-      }
-    }
-  } else if (mode == SubsumptionMode::kSetImplication) {
-    std::vector<Conjunction> existing;
-    existing.reserve(size_);
-    for (size_t i = 0; i < size_; ++i) {
-      const Fact& stored = this->fact(i);
-      if (stored.pred == fact.pred && stored.arity == fact.arity) {
-        existing.push_back(stored.constraint);
-      }
-    }
-    if (!existing.empty() && ImpliesDisjunction(fact.constraint, existing)) {
-      return InsertOutcome::kSubsumed;
-    }
-  }
+  return InsertKeyed(std::move(fact), std::move(key), is_ground, birth,
+                     std::move(rule_label), std::move(parents), edb);
+}
+
+InsertOutcome Relation::InsertKeyed(Fact fact, std::string key,
+                                    bool is_ground, int birth,
+                                    std::string rule_label,
+                                    std::vector<FactRef> parents, bool edb) {
+  if (keys_.count(key) > 0) return InsertOutcome::kDuplicate;
 
   // Classify each argument position (the column tag) and collect interval
   // summaries for numerically constrained positions. Bound propagation runs
@@ -297,8 +274,8 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead,
     if (remap) {
       for (FactRef& ref : refs) ref = remap(ref);
     }
-    out.Insert(fact(i), birth(i), SubsumptionMode::kNone, rule_label(i),
-               std::move(refs), edb(i));
+    out.InsertKeyed(fact(i), fact(i).Key(), ground(i), birth(i),
+                    rule_label(i), std::move(refs), edb(i));
     Chunk* tail = out.chunks_.back().get();
     size_t row_in_chunk = (out.size_ - 1) & kChunkMask;
     tail->support[row_in_chunk] = support(i);

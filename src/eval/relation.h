@@ -13,9 +13,11 @@
 
 namespace cqlopt {
 
-/// Duplicate-elimination policy applied when inserting a freshly derived
-/// fact (the "compared against previously generated p facts to check
-/// whether it is indeed a new fact" step of Section 2).
+/// Duplicate-elimination policy applied to freshly derived facts (the
+/// "compared against previously generated p facts to check whether it is
+/// indeed a new fact" step of Section 2). The fixpoint's end-of-iteration
+/// reconciliation (eval/fixpoint.cc) is the one place that applies it;
+/// Relation::Insert itself only drops structural duplicates.
 enum class SubsumptionMode {
   /// Only structurally identical facts are duplicates. Constraint facts
   /// that are semantically subsumed survive — the ablation arm of
@@ -38,7 +40,7 @@ enum class SubsumptionMode {
 enum class InsertOutcome {
   kInserted,
   kDuplicate,  // structurally identical fact already present
-  kSubsumed,   // implied by an existing fact (kSingleFact mode)
+  kSubsumed,   // covered by other facts (decided by the reconciliation)
 };
 
 /// The set of facts of one predicate, each stamped with the iteration that
@@ -93,13 +95,20 @@ class Relation {
     kInterval,
   };
 
-  /// Attempts to insert; `birth` is the deriving iteration. `rule_label`
-  /// and `parents` record provenance (empty for EDB facts). `edb` marks a
-  /// base fact — a row retractions may target (eval/retract.h); the
-  /// derivation path never sets it.
-  InsertOutcome Insert(Fact fact, int birth, SubsumptionMode mode,
-                       std::string rule_label = "",
+  /// Appends `fact` unless a structurally identical fact is stored
+  /// (kDuplicate); no subsumption check. `birth` is the deriving
+  /// iteration. `rule_label` and `parents` record provenance (empty for
+  /// EDB facts). `edb` marks a base fact — a row retractions may target
+  /// (eval/retract.h); the derivation path never sets it.
+  InsertOutcome Insert(Fact fact, int birth, std::string rule_label = "",
                        std::vector<FactRef> parents = {}, bool edb = false);
+
+  /// Insert for callers that already hold `fact.Key()` and
+  /// `fact.IsGround()` (the fixpoint's commit loop, whose reconciliation
+  /// computed both), so neither is recomputed.
+  InsertOutcome InsertKeyed(Fact fact, std::string key, bool is_ground,
+                            int birth, std::string rule_label,
+                            std::vector<FactRef> parents, bool edb = false);
 
   /// True if a structurally identical fact is stored.
   bool ContainsKey(const std::string& key) const {

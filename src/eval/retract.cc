@@ -45,14 +45,13 @@ bool RulesMention(const Program& program, const DeadMasks& dead) {
   return false;
 }
 
-/// True when `base` is shaped exactly like one Evaluate(kStratified) run of
+/// True when `base` is shaped exactly like one Evaluate run of
 /// `plan`: the recorded per-stratum iterations tile the global iteration
 /// range with one entry per rule-bearing component. Bases extended by
 /// ResumeEvaluate (whose ingest pseudo-iteration and global delta loop break
 /// the tiling) fail this and take the "full" path.
 bool PureStratifiedShape(const StratifiedPlan& plan, const EvalResult& base,
                          const EvalOptions& options) {
-  if (options.strategy != EvalStrategy::kStratified) return false;
   long sum = std::accumulate(base.stats.scc_iterations.begin(),
                              base.stats.scc_iterations.end(), long{0});
   if (sum != base.stats.iterations) return false;

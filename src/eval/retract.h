@@ -40,8 +40,7 @@ namespace cqlopt {
 ///              from scratch with `options`.
 ///
 /// Equivalence contract: when `base` is exactly the result of
-/// Evaluate(program, edb, options) with options.strategy == kStratified
-/// (a "pure" base — service materializations right after a cold
+/// Evaluate(program, edb, options) (a "pure" base — service materializations right after a cold
 /// evaluation, or any chain of RetractEvaluate calls on one), the result
 /// is byte-identical — facts, row order, birth stamps, traces — to
 /// Evaluate(program, surviving_edb, options), where surviving_edb holds

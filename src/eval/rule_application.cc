@@ -21,7 +21,6 @@ struct JoinContext {
   int max_birth;
   bool require_delta;
   const EmitFn* emit;
-  bool use_index;
   bool interval_index;
   EvalStats* stats;
   /// Per-enumeration-depth candidate buffers, owned by ApplyRule and reused
@@ -35,7 +34,7 @@ struct JoinContext {
   /// delta fact (Relation::max_birth() never under-reports, so false means
   /// "provably cannot"). Sized body.size() + 1 when require_delta is set,
   /// empty otherwise. Classic (non-rotated) joins only.
-  std::vector<char> suffix_has_delta;
+  std::vector<char> suffix_has_delta{};
   /// Rotation mode (null outside it): `order` maps enumeration depth to
   /// body-literal position — the pivot literal is enumerated first so its
   /// delta fact's bindings drive index probes for the rest — and `filter`
@@ -161,7 +160,7 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
   // a unique value (unbound, or restricted only by non-point constraints).
   int probe_pos = 0;  // 1-based; 0 = scan fallback
   Relation::ArgSignature probe_value;
-  if (ctx.use_index) {
+  {
     std::vector<std::optional<Rational>> probe_number = acc_number;
     bool any_direct = false;
     for (int a = 0; a < lit.arity(); ++a) {
@@ -228,7 +227,7 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
   // conjunction with the accumulated state is unsatisfiable, so only
   // leaf-rejected candidates are skipped and derivation order is preserved
   // (IntervalProbe re-sorts into insertion order).
-  if (ctx.use_index && ctx.interval_index) {
+  if (ctx.interval_index) {
     int ival_pos = 0;  // 1-based; 0 = nothing usable
     size_t ival_cost = 0;
     Interval ival_query;
@@ -286,8 +285,8 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
 }  // namespace
 
 Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
-                 bool require_delta, const EmitFn& emit, bool use_index,
-                 EvalStats* stats, bool delta_rotate, bool interval_index) {
+                 bool require_delta, const EmitFn& emit, EvalStats* stats,
+                 bool delta_rotate, bool interval_index) {
   // Fault-injection hook: an allocation failure while materializing this
   // rule's join state. Near-free when disarmed (util/failpoint.h).
   if (failpoint::ShouldFail(failpoint::kEvalRuleAlloc)) {
@@ -296,8 +295,8 @@ Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
         (rule.label.empty() ? std::string("<unlabeled>") : rule.label) +
         " (failpoint " + failpoint::kEvalRuleAlloc + ")");
   }
-  JoinContext ctx{&rule,     &db,   max_birth,      require_delta,
-                  &emit,     use_index, interval_index, stats, {}};
+  JoinContext ctx{&rule, &db, max_birth, require_delta, &emit, interval_index,
+                  stats};
   if (rule.body.empty()) {
     return EmitHead(ctx, rule.constraints, {});
   }

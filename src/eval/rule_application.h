@@ -48,12 +48,11 @@ using EmitFn =
 /// arrive grouped by pivot — callers that pin derivation order (the
 /// paper-table traces) must keep `delta_rotate` off.
 ///
-/// Join access path: when `use_index` is set, each body literal whose
-/// accumulated join state binds some argument position to a unique symbol
-/// or number is resolved by probing the relation's per-position hash index
-/// at the most selective such position. Direct bindings are read cheaply
-/// (Conjunction::GetSymbol / QuickNumericValue); numeric values that are
-/// only entailed — e.g. `X = N - 1` after joining a fact with `N = 2` —
+/// Join access path: each body literal whose accumulated join state binds
+/// some argument position to a unique symbol or number is resolved by
+/// probing the relation's per-position hash index at the most selective
+/// such position. Direct bindings are read cheaply (Conjunction::GetSymbol
+/// / QuickNumericValue); numeric values that are only entailed — e.g. `X = N - 1` after joining a fact with `N = 2` —
 /// are recovered by the exact projection (Conjunction::GetNumericValue).
 /// Literals with no uniquely-bound position (unbound, or restricted only
 /// by non-point constraints like `X > 0`) fall back to the linear scan.
@@ -64,10 +63,9 @@ using EmitFn =
 /// is non-null, probe/candidate counters (and nothing else) are
 /// accumulated into it.
 ///
-/// Interval pruning (`interval_index`, meaningful only with `use_index`):
-/// when no position is bound to a unique value, the accumulated state's
-/// interval box (IntervalDomain::Propagate over its linear part) is
-/// intersected against the relation's per-position interval index
+/// Interval pruning (`interval_index`): when no position is bound to a
+/// unique value, the accumulated state's interval box
+/// (IntervalDomain::Propagate over its linear part) is intersected against the relation's per-position interval index
 /// (DESIGN.md §12) at the most selective numerically-ranged position — a
 /// pushed selection like `T <= 60` then skips whole sorted runs of facts
 /// whose stored value or propagated bound summary cannot meet the range.
@@ -89,8 +87,8 @@ using EmitFn =
 /// directly; callers fire them only in iteration 0.
 Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
                  bool require_delta, const EmitFn& emit,
-                 bool use_index = false, EvalStats* stats = nullptr,
-                 bool delta_rotate = false, bool interval_index = false);
+                 EvalStats* stats = nullptr, bool delta_rotate = false,
+                 bool interval_index = false);
 
 }  // namespace cqlopt
 

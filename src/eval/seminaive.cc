@@ -13,77 +13,9 @@ using eval_internal::DecisionCounterScope;
 using eval_internal::FactsSoFar;
 using eval_internal::Governor;
 using eval_internal::GovernedAbort;
+using eval_internal::PlanStratified;
 using eval_internal::RunIteration;
-
-/// SCC-stratified semi-naive evaluation: condense the predicate dependency
-/// graph, assign every rule to the component of its head predicate, and run
-/// one semi-naive fixpoint per component in bottom-up topological order
-/// (eval_internal::RunStrata — the same walk RetractEvaluate resumes
-/// mid-plan). Lower strata are frozen when a stratum runs: their facts
-/// carry older births, so they join as "old" facts and are never
-/// re-derived. Iteration numbering (birth stamps, trace rows,
-/// max_iterations) is global across strata.
-Result<EvalResult> EvaluateStratified(const Program& program,
-                                      const Database& edb,
-                                      const EvalOptions& options,
-                                      Governor* governor) {
-  EvalResult result;
-  result.db = edb;  // EDB facts carry birth -1.
-
-  eval_internal::StratifiedPlan plan = eval_internal::PlanStratified(program);
-  CQLOPT_RETURN_IF_ERROR(eval_internal::RunStrata(
-      program, plan, /*first_component=*/0, /*start_iteration=*/0, options,
-      governor, &result));
-  return result;
-}
-
-/// The kNaive / kSemiNaive oracle loop: every rule in one global fixpoint,
-/// linear-scan joins (the oracles define the reference behaviour the
-/// stratified path must reproduce).
-Result<EvalResult> EvaluateGlobal(const Program& program, const Database& edb,
-                                  const EvalOptions& options,
-                                  Governor* governor) {
-  EvalResult result;
-  result.db = edb;  // EDB facts carry birth -1.
-
-  std::vector<size_t> all_rules(program.rules.size());
-  std::iota(all_rules.begin(), all_rules.end(), 0);
-  for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-    bool require_delta =
-        options.strategy == EvalStrategy::kSemiNaive && iteration > 0;
-    auto position = [&] {
-      return "global iteration " + std::to_string(iteration) +
-             " (single global stratum), " + FactsSoFar(result);
-    };
-    Result<long> ran = RunIteration(
-        program, all_rules, iteration,
-        /*fire_constraint_facts=*/iteration == 0, require_delta,
-        /*use_index=*/false, /*delta_rotate=*/false, /*interval_index=*/false,
-        options, governor, &result);
-    if (!ran.ok()) {
-      if (Governor::IsAbortCode(ran.status().code())) {
-        return GovernedAbort(ran.status(), position(), options, &result);
-      }
-      return ran.status();
-    }
-    long inserted = *ran;
-    result.stats.iterations = iteration + 1;
-    Status boundary = governor->IterationBoundary(result.stats.inserted);
-    if (!boundary.ok()) {
-      return GovernedAbort(boundary, position(), options, &result);
-    }
-    if (inserted == 0) {
-      result.stats.reached_fixpoint = true;
-      break;
-    }
-  }
-
-  for (const auto& [pred, rel] : result.db.relations()) {
-    result.stats.facts_per_pred[pred] = static_cast<long>(rel.size());
-  }
-  result.stats.interval_index_build_ns = result.db.IntervalBuildNs();
-  return result;
-}
+using eval_internal::RunStrata;
 
 }  // namespace
 
@@ -97,11 +29,13 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
                 /*reject_constraint_only_recursion=*/true}));
   DecisionCounterScope decisions(options);
   Governor governor(options, /*baseline_inserted=*/0);
-  Result<EvalResult> result =
-      options.strategy == EvalStrategy::kStratified
-          ? EvaluateStratified(program, edb, options, &governor)
-          : EvaluateGlobal(program, edb, options, &governor);
-  if (result.ok()) decisions.AddTo(&result->stats);
+  EvalResult result;
+  result.db = edb;  // EDB facts carry birth -1.
+  CQLOPT_RETURN_IF_ERROR(RunStrata(program, PlanStratified(program),
+                                   /*first_component=*/0,
+                                   /*start_iteration=*/0, options, &governor,
+                                   &result));
+  decisions.AddTo(&result.stats);
   return result;
 }
 
@@ -172,8 +106,7 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
     Result<long> ran = RunIteration(
         program, all_rules, iteration,
         /*fire_constraint_facts=*/false, /*require_delta=*/true,
-        /*use_index=*/true, /*delta_rotate=*/true, options.interval_index,
-        options, &governor, &result);
+        /*delta_rotate=*/true, options, &governor, &result);
     if (!ran.ok()) {
       if (Governor::IsAbortCode(ran.status().code())) {
         return GovernedAbort(ran.status(), position(), options, &result);

@@ -11,29 +11,11 @@
 
 namespace cqlopt {
 
-/// Fixpoint strategy.
+/// Selects nothing: Evaluate always runs SCC-stratified semi-naive
+/// evaluation. This single-valued enum and EvalOptions::strategy remain
+/// for callers that still set the field (perfbench/flights_cold.cc does);
+/// nothing reads it.
 enum class EvalStrategy {
-  /// Derivations in iteration i use at least one fact first derived in
-  /// iteration i-1 — the evaluation the paper's tables trace. Runs every
-  /// rule in one global loop with linear-scan joins; kept unchanged as the
-  /// differential-testing oracle for kStratified.
-  kSemiNaive,
-  /// Every rule is re-applied to all known facts each iteration. Same
-  /// fixpoint, many redundant derivations; kept as a differential-testing
-  /// oracle for the semi-naive delta discipline.
-  kNaive,
-  /// SCC-stratified semi-naive: the predicate dependency graph is condensed
-  /// into strongly connected components and one semi-naive fixpoint runs
-  /// per component in bottom-up topological order, so facts of lower strata
-  /// are computed once and frozen instead of being re-joined every global
-  /// iteration. Body literals are resolved through the relations'
-  /// per-position hash indexes where the join state directly binds a
-  /// position (rule_application.h). Reaches the same fixpoint as the two
-  /// oracles; iteration numbering is global across strata (trace[i] /
-  /// birth stamps keep their meaning), `max_iterations` caps the global
-  /// total, and EvalStats::scc_iterations attributes iterations to strata.
-  /// When a program is a single SCC (e.g. the Table 1/2 magic programs) the
-  /// evaluation and its trace coincide with kSemiNaive's.
   kStratified,
 };
 
@@ -47,7 +29,8 @@ struct EvalOptions {
   /// no iterations" (the EDB alone is returned, fixpoint not reached).
   int max_iterations = 256;
   SubsumptionMode subsumption = SubsumptionMode::kSingleFact;
-  EvalStrategy strategy = EvalStrategy::kSemiNaive;
+  /// Ignored; see EvalStrategy.
+  EvalStrategy strategy = EvalStrategy::kStratified;
   /// Record per-iteration derivation lists (the format of Tables 1 and 2).
   bool record_trace = false;
   /// Two-tier constraint decisions (DESIGN.md §11): when true (default)
@@ -68,8 +51,6 @@ struct EvalOptions {
   /// candidates the leaf satisfiability check would reject are skipped and
   /// enumeration order is preserved, so toggling this never changes facts,
   /// births, or traces — only wall-clock and the interval_* counters.
-  /// Applies to the kStratified strategy and to ResumeEvaluate (the paths
-  /// that use indexes at all); the oracle strategies always scan.
   bool interval_index = true;
 
   // --- Resource governance. The three limits below are checked
@@ -122,13 +103,29 @@ struct EvalResult {
   EvalStats stats;
 };
 
-/// Semi-naive bottom-up evaluation of `program` over `edb` (Section 2):
-///  - iteration 0 fires the program's constraint facts (body-free rules)
-///    and rules whose bodies are satisfiable purely from EDB facts;
-///  - iteration i > 0 makes every derivation that uses at least one fact
-///    first derived in iteration i-1, using only facts known at the end of
-///    iteration i-1;
-///  - stops at a fixpoint (an iteration adding no new facts) or at the cap.
+/// Semi-naive bottom-up evaluation of `program` over `edb` (Section 2),
+/// SCC-stratified. The predicate dependency graph is condensed into
+/// strongly connected components, and one semi-naive fixpoint runs per
+/// component in bottom-up topological order:
+///  - a component's first iteration fires its constraint facts (body-free
+///    rules) and every rule whose body is satisfiable from facts of lower
+///    strata;
+///  - each later iteration makes every derivation that uses at least one
+///    fact first derived in the previous iteration, using only facts known
+///    at its end;
+///  - a component stops at its fixpoint (an iteration adding no new facts;
+///    non-recursive components run once), and evaluation stops after the
+///    last component or at the cap.
+/// Facts of lower strata are frozen when a component runs, so they are
+/// joined but never re-derived. Body literals are resolved through the
+/// relations' per-position hash and interval indexes where the join state
+/// binds or ranges a position (rule_application.h). Iteration numbering is
+/// global across strata (trace[i] and birth stamps keep their meaning),
+/// `max_iterations` caps the global total, and EvalStats::scc_iterations
+/// attributes iterations to strata. When a program is a single SCC (e.g.
+/// the Table 1/2 magic programs) the evaluation and its trace are exactly
+/// the paper's single semi-naive loop. testing::OracleEvaluate is the
+/// reference this engine is checked against.
 Result<EvalResult> Evaluate(const Program& program, const Database& edb,
                             const EvalOptions& options);
 
@@ -144,14 +141,13 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
 /// resumed fixpoint denotes the same fact set as a from-scratch evaluation
 /// of the union EDB — per predicate, each result's facts are covered by the
 /// disjunction of the other's (tests/test_service.cc locks this against
-/// EvalStrategy::kStratified across the program corpus and all three
-/// SubsumptionModes).
+/// Evaluate across the program corpus and all three SubsumptionModes).
 ///
 /// `base` is consumed and extended: stats accumulate on top (iterations
 /// keeps global numbering; when record_trace was set, one empty trace row
 /// marks the ingest pseudo-iteration so trace[i] still lists iteration i's
-/// derivations). `options.strategy` is ignored — the resume always runs the
-/// delta-driven global loop with hash-indexed joins and delta rotations
+/// derivations). The resume runs one delta-driven loop over all rules
+/// (not strata) with indexed joins and delta rotations
 /// (rule_application.h: each rule is driven from its delta facts, so within
 /// an iteration derivations arrive grouped by pivot position rather than in
 /// body-enumeration order); `max_iterations` caps

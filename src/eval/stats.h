@@ -31,11 +31,12 @@ struct EvalStats {
   std::map<PredId, long> facts_per_pred;
 
   // --- SCC-stratified evaluation and join-index accounting. These stay 0 /
-  // empty for strategies or paths that do not exercise them. ---
+  // empty for paths that do not exercise them. ---
 
   /// Iterations spent per stratum, in evaluation (bottom-up topological)
   /// order; strata without rules are omitted. Their sum equals
-  /// `iterations` under EvalStrategy::kStratified.
+  /// `iterations` after Evaluate; ResumeEvaluate's iterations run outside
+  /// any stratum and are not added here.
   std::vector<long> scc_iterations;
   /// Body-literal resolutions served by the per-position hash index (some
   /// argument position was directly bound to a symbol/number in the

@@ -131,15 +131,20 @@ Result<std::shared_ptr<PreparedEntry>> QueryService::PrepareEntry(
     *prepared_hit = true;
     return entry;
   }
+  std::lock_guard<std::mutex> lock(symbols_mutex_);
+  // Concurrent misses on one key serialize here, and all but the first find
+  // its entry on this re-check: a second rewrite would intern another set
+  // of fresh predicates (p_bbff_2, ...) into the shared symbol table for
+  // the life of the process. The entry is inserted before the lock is
+  // released, so the next waiter sees it.
+  if (auto entry = prepared_.Find(fingerprint, canonical)) {
+    *prepared_hit = true;
+    return entry;
+  }
   *prepared_hit = false;
   auto entry = std::make_shared<PreparedEntry>();
   entry->fingerprint = fingerprint;
   entry->canonical = std::move(canonical);
-  // Insert before releasing the symbol table, so concurrent misses on one
-  // key reach the cache in rewrite order: the established entry is always
-  // the first rewrite, whose fresh predicate names (p_bbff, not the loser's
-  // p_bbff_2) are the ones a serial run would have made.
-  std::lock_guard<std::mutex> lock(symbols_mutex_);
   CQLOPT_ASSIGN_OR_RETURN(
       entry->prepared,
       ApplyPipeline(program_, query, steps, options_.pipeline));
@@ -227,10 +232,7 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
       outcome.path = ServePath::kEpochHit;
       eval = entry->eval;
     } else {
-      // Cold evaluations and RetractEvaluate's purity check both run the
-      // serving engine's stratified strategy.
       EvalOptions opts = options_.eval;
-      opts.strategy = EvalStrategy::kStratified;
       std::vector<DeltaBatch> batches;
       bool can_resume = entry->eval != nullptr &&
                         entry->eval->stats.reached_fixpoint &&

@@ -21,9 +21,8 @@ namespace cqlopt {
 
 /// Configuration of a QueryService.
 struct ServiceOptions {
-  /// Evaluation defaults for every served query. `strategy` is forced to
-  /// kStratified for cold evaluations (the serving engine); resumes use
-  /// the delta loop regardless (seminaive.h ResumeEvaluate).
+  /// Evaluation defaults for every served query. Cold evaluations run
+  /// Evaluate; resumes run the delta loop (seminaive.h ResumeEvaluate).
   EvalOptions eval;
   /// Rewrite options shared by every prepared pipeline.
   PipelineOptions pipeline;

@@ -27,8 +27,8 @@ namespace testing {
 
 struct OracleOptions {
   /// Round cap; a capped run reports reached_fixpoint == false and the
-  /// differential properties skip the comparison (capped states are
-  /// strategy-dependent).
+  /// differential properties skip the comparison (capped states depend on
+  /// evaluation order).
   int max_rounds = 64;
 };
 

@@ -27,11 +27,10 @@ namespace cqlopt {
 namespace testing {
 namespace {
 
-EvalOptions EngineOptions(const FuzzOptions& fo, EvalStrategy strategy) {
+EvalOptions EngineOptions(const FuzzOptions& fo) {
   EvalOptions opts;
   opts.max_iterations = fo.eval_max_iterations;
   opts.subsumption = fo.subsumption;
-  opts.strategy = strategy;
   opts.prepass = fo.prepass;
   return opts;
 }
@@ -69,8 +68,7 @@ std::string CountsByPred(const std::map<PredId, std::vector<Fact>>& m) {
 // oracle_equiv: the optimized engine against the naive reference oracle.
 
 PropertyOutcome OracleEquiv(const FuzzCase& c, const FuzzOptions& fo) {
-  auto eval = Evaluate(c.program, BuildDatabase(c),
-                       EngineOptions(fo, EvalStrategy::kSemiNaive));
+  auto eval = Evaluate(c.program, BuildDatabase(c), EngineOptions(fo));
   if (!eval.ok()) {
     return PropertyOutcome::Fail("engine rejected generated program: " +
                                  eval.status().message());
@@ -100,48 +98,6 @@ PropertyOutcome OracleEquiv(const FuzzCase& c, const FuzzOptions& fo) {
         "query answers differ: engine " +
         std::to_string(engine_answers->size()) + " vs oracle " +
         std::to_string(oracle_answers->size()));
-  }
-  return PropertyOutcome::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// strategy_confluence: every strategy, one fixpoint.
-
-PropertyOutcome StrategyConfluence(const FuzzCase& c, const FuzzOptions& fo) {
-  Database db = BuildDatabase(c);
-  struct Run {
-    const char* name;
-    EvalStrategy strategy;
-  };
-  const Run runs[] = {
-      {"naive", EvalStrategy::kNaive},
-      {"semi-naive", EvalStrategy::kSemiNaive},
-      {"stratified", EvalStrategy::kStratified},
-  };
-  std::vector<EvalResult> results;
-  for (const Run& run : runs) {
-    auto r = Evaluate(c.program, db, EngineOptions(fo, run.strategy));
-    if (!r.ok()) {
-      return PropertyOutcome::Fail(std::string(run.name) +
-                                   " evaluation failed: " +
-                                   r.status().message());
-    }
-    if (!r->stats.reached_fixpoint) {
-      return PropertyOutcome::Skip(std::string(run.name) +
-                                   " hit the iteration cap");
-    }
-    results.push_back(std::move(*r));
-  }
-  auto baseline = EvalToMap(results[1]);  // semi-naive
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i == 1) continue;
-    auto other = EvalToMap(results[i]);
-    if (!SameDenotation(baseline, other)) {
-      return PropertyOutcome::Fail(std::string(runs[i].name) +
-                                   " disagrees with semi-naive: " +
-                                   CountsByPred(other) + " vs " +
-                                   CountsByPred(baseline));
-    }
   }
   return PropertyOutcome::Ok();
 }
@@ -183,8 +139,7 @@ bool PlantBug(PlantedBug bug, Program* program) {
 
 PropertyOutcome RewriteEquiv(const FuzzCase& c, const FuzzOptions& fo) {
   Database db = BuildDatabase(c);
-  auto base = Evaluate(c.program, db,
-                       EngineOptions(fo, EvalStrategy::kSemiNaive));
+  auto base = Evaluate(c.program, db, EngineOptions(fo));
   if (!base.ok()) {
     return PropertyOutcome::Fail("baseline evaluation failed: " +
                                  base.status().message());
@@ -213,8 +168,7 @@ PropertyOutcome RewriteEquiv(const FuzzCase& c, const FuzzOptions& fo) {
     if (fo.bug != PlantedBug::kNone && std::string(spec) == "pred,qrp") {
       (void)PlantBug(fo.bug, &program);
     }
-    auto eval = Evaluate(program, db,
-                         EngineOptions(fo, EvalStrategy::kStratified));
+    auto eval = Evaluate(program, db, EngineOptions(fo));
     if (!eval.ok()) {
       // A pipeline must emit programs the engine accepts; a rejection here
       // is a transform bug, not a skip.
@@ -222,7 +176,7 @@ PropertyOutcome RewriteEquiv(const FuzzCase& c, const FuzzOptions& fo) {
                                    " emitted a program the engine rejects: " +
                                    eval.status().message());
     }
-    if (!eval->stats.reached_fixpoint) continue;  // strategy-dependent state
+    if (!eval->stats.reached_fixpoint) continue;  // order-dependent state
     auto answers = QueryAnswers(*eval, rewritten->query);
     if (!answers.ok()) {
       return PropertyOutcome::Fail(std::string(spec) +
@@ -326,8 +280,7 @@ PropertyOutcome ResumeScratch(const FuzzCase& c, const FuzzOptions& fo) {
 
   Database base_db;
   for (const Fact& fact : base_facts) base_db.AddFact(fact);
-  auto base = Evaluate(c.program, base_db,
-                       EngineOptions(fo, EvalStrategy::kStratified));
+  auto base = Evaluate(c.program, base_db, EngineOptions(fo));
   if (!base.ok()) {
     return PropertyOutcome::Fail("base evaluation failed: " +
                                  base.status().message());
@@ -336,13 +289,12 @@ PropertyOutcome ResumeScratch(const FuzzCase& c, const FuzzOptions& fo) {
     return PropertyOutcome::Skip("base hit the iteration cap");
   }
   auto resumed = ResumeEvaluate(c.program, std::move(*base), delta,
-                                EngineOptions(fo, EvalStrategy::kStratified));
+                                EngineOptions(fo));
   if (!resumed.ok()) {
     return PropertyOutcome::Fail("ResumeEvaluate failed: " +
                                  resumed.status().message());
   }
-  auto scratch = Evaluate(c.program, BuildDatabase(c),
-                          EngineOptions(fo, EvalStrategy::kStratified));
+  auto scratch = Evaluate(c.program, BuildDatabase(c), EngineOptions(fo));
   if (!scratch.ok()) {
     return PropertyOutcome::Fail("scratch evaluation failed: " +
                                  scratch.status().message());
@@ -413,9 +365,8 @@ Result<std::vector<std::string>> DirectAnswers(const FuzzCase& c,
                                                const FuzzOptions& fo,
                                                const Database& db,
                                                bool* capped) {
-  CQLOPT_ASSIGN_OR_RETURN(
-      EvalResult eval,
-      Evaluate(c.program, db, EngineOptions(fo, EvalStrategy::kStratified)));
+  CQLOPT_ASSIGN_OR_RETURN(EvalResult eval,
+                          Evaluate(c.program, db, EngineOptions(fo)));
   *capped = !eval.stats.reached_fixpoint;
   CQLOPT_ASSIGN_OR_RETURN(std::vector<Fact> answers,
                           QueryAnswers(eval, c.query));
@@ -435,7 +386,7 @@ PropertyOutcome ServiceRoundtrip(const FuzzCase& c, const FuzzOptions& fo) {
   Database base_db;
   for (const Fact& fact : base_facts) base_db.AddFact(fact);
   ServiceOptions sopts;
-  sopts.eval = EngineOptions(fo, EvalStrategy::kStratified);
+  sopts.eval = EngineOptions(fo);
   auto service = QueryService::FromParts(c.program, base_db, sopts);
   if (!service.ok()) {
     return PropertyOutcome::Fail("FromParts failed: " +
@@ -554,7 +505,7 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
   // the surviving EDB exactly. A second retraction of the same batch must
   // be a pure no-op that only grows the miss counter — idempotence.
   for (bool tracing : {true, false}) {
-    EvalOptions opts = EngineOptions(fo, EvalStrategy::kStratified);
+    EvalOptions opts = EngineOptions(fo);
     opts.record_trace = tracing;
     const char* arm = tracing ? "traced" : "untraced";
     auto base = Evaluate(c.program, full_db, opts);
@@ -629,7 +580,7 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
   // honour), and require the re-served answers to match direct evaluation
   // of the surviving EDB.
   ServiceOptions sopts;
-  sopts.eval = EngineOptions(fo, EvalStrategy::kStratified);
+  sopts.eval = EngineOptions(fo);
   auto service = QueryService::FromParts(c.program, full_db, sopts);
   if (!service.ok()) {
     return PropertyOutcome::Fail("FromParts failed: " +
@@ -706,7 +657,7 @@ PropertyOutcome SchedulerEquiv(const FuzzCase& c, const FuzzOptions& fo) {
   }
 
   ServiceOptions sopts;
-  sopts.eval = EngineOptions(fo, EvalStrategy::kStratified);
+  sopts.eval = EngineOptions(fo);
   auto concurrent = QueryService::FromParts(c.program, Database(), sopts);
   if (!concurrent.ok()) {
     return PropertyOutcome::Fail("FromParts failed: " +
@@ -847,7 +798,7 @@ Result<std::unique_ptr<QueryService>> MakeWalService(const FuzzCase& c,
                                                      const Database& base_db,
                                                      const std::string& dir) {
   ServiceOptions sopts;
-  sopts.eval = EngineOptions(fo, EvalStrategy::kStratified);
+  sopts.eval = EngineOptions(fo);
   sopts.wal_dir = dir;
   return QueryService::FromParts(c.program, base_db, sopts);
 }
@@ -1150,7 +1101,7 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
                                  probe_expected.status().message());
   }
   ServiceOptions plain;
-  plain.eval = EngineOptions(fo, EvalStrategy::kStratified);
+  plain.eval = EngineOptions(fo);
   auto probe = QueryService::FromParts(c.program, BuildDatabase(c), plain);
   if (!probe.ok()) {
     return PropertyOutcome::Fail("probe FromParts failed: " +
@@ -1570,7 +1521,7 @@ PropertyOutcome ReplicaVsPrimary(const FuzzCase& c, const FuzzOptions& fo) {
   std::unique_ptr<QueryService> tampered;
   {
     ServiceOptions plain;
-    plain.eval = EngineOptions(fo, EvalStrategy::kStratified);
+    plain.eval = EngineOptions(fo);
     auto made = QueryService::FromParts(c.program, Database(), plain);
     if (!made.ok()) {
       return PropertyOutcome::Fail("tamper follower FromParts failed: " +
@@ -1644,7 +1595,7 @@ PropertyOutcome ReplicaVsPrimary(const FuzzCase& c, const FuzzOptions& fo) {
 /// on-arm filled (and vice versa) — both arms decide from cold.
 PropertyOutcome PrepassEquiv(const FuzzCase& c, const FuzzOptions& fo) {
   Database db = BuildDatabase(c);
-  EvalOptions opts = EngineOptions(fo, EvalStrategy::kStratified);
+  EvalOptions opts = EngineOptions(fo);
   opts.record_trace = true;
 
   DecisionCache::Instance().Clear();
@@ -1713,7 +1664,7 @@ PropertyOutcome PrepassEquiv(const FuzzCase& c, const FuzzOptions& fo) {
 /// DecisionCache so neither coasts on the other's memo entries.
 PropertyOutcome IntervalEquiv(const FuzzCase& c, const FuzzOptions& fo) {
   Database db = BuildDatabase(c);
-  EvalOptions opts = EngineOptions(fo, EvalStrategy::kStratified);
+  EvalOptions opts = EngineOptions(fo);
   opts.record_trace = true;
 
   DecisionCache::Instance().Clear();
@@ -1797,11 +1748,8 @@ const std::vector<PropertyInfo>& AllProperties() {
   static const std::vector<PropertyInfo>* properties =
       new std::vector<PropertyInfo>{
           {"oracle_equiv",
-           "semi-naive engine matches the naive reference oracle",
+           "the engine matches the naive reference oracle",
            &OracleEquiv},
-          {"strategy_confluence",
-           "naive / semi-naive / stratified agree",
-           &StrategyConfluence},
           {"rewrite_equiv",
            "pred / qrp / magic / balbin pipelines preserve query answers",
            &RewriteEquiv},

@@ -16,8 +16,7 @@ namespace testing {
 /// property takes one generated FuzzCase and checks an equivalence the
 /// system promises:
 ///
-///   oracle_equiv        engine (semi-naive) ≡ the naive reference oracle
-///   strategy_confluence naive ≡ semi-naive ≡ stratified
+///   oracle_equiv        engine (Evaluate) ≡ the naive reference oracle
 ///   rewrite_equiv       rewritten(P) ≡ P for pred / qrp / magic / balbin
 ///                       pipelines (Theorems 4.3, 6.2, 7.x empirically)
 ///   fm_projection       Fourier–Motzkin projection ≡ pointwise ∃-check on

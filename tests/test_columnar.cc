@@ -97,9 +97,9 @@ TEST(IntervalIndexTest, EmptyRelation) {
 
 TEST(IntervalIndexTest, ClosedAndOpenQueryBounds) {
   Relation rel;
-  (void)rel.Insert(NumberFact(40), 0, SubsumptionMode::kNone);  // 0
-  (void)rel.Insert(NumberFact(50), 0, SubsumptionMode::kNone);  // 1
-  (void)rel.Insert(NumberFact(60), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(NumberFact(40), 0);  // 0
+  (void)rel.Insert(NumberFact(50), 0);  // 1
+  (void)rel.Insert(NumberFact(60), 0);  // 2
   EXPECT_TRUE(rel.HasIntervalIndex(1));
   // Closed ends include the boundary values; open ends exclude them.
   EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, false, 60, false), 3),
@@ -115,9 +115,9 @@ TEST(IntervalIndexTest, ClosedAndOpenQueryBounds) {
 
 TEST(IntervalIndexTest, InfiniteQueryEnds) {
   Relation rel;
-  (void)rel.Insert(NumberFact(10), 0, SubsumptionMode::kNone);  // 0
-  (void)rel.Insert(NumberFact(50), 0, SubsumptionMode::kNone);  // 1
-  (void)rel.Insert(NumberFact(90), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(NumberFact(10), 0);  // 0
+  (void)rel.Insert(NumberFact(50), 0);  // 1
+  (void)rel.Insert(NumberFact(90), 0);  // 2
   EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
             std::vector<size_t>({0, 1}));
   EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(50), 3),
@@ -129,9 +129,9 @@ TEST(IntervalIndexTest, InfiniteQueryEnds) {
 
 TEST(IntervalIndexTest, UnprunablePositionsAlwaysEnumerated) {
   Relation rel;
-  (void)rel.Insert(SymbolFact(7), 0, SubsumptionMode::kNone);    // 0
-  (void)rel.Insert(UnboundFact(), 0, SubsumptionMode::kNone);    // 1
-  (void)rel.Insert(NumberFact(1000), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(SymbolFact(7), 0);     // 0
+  (void)rel.Insert(UnboundFact(), 0);     // 1
+  (void)rel.Insert(NumberFact(1000), 0);  // 2
   // The query excludes every numeric value stored, but symbol-bound and
   // unconstrained rows can never be numerically excluded.
   EXPECT_EQ(IntervalProbeVec(rel, 1, Between(1, false, 2, false), 3),
@@ -142,9 +142,9 @@ TEST(IntervalIndexTest, UnprunablePositionsAlwaysEnumerated) {
 
 TEST(IntervalIndexTest, RangedRowsPrunedOnDisjointSummary) {
   Relation rel;
-  (void)rel.Insert(RangeFact(10, 20), 0, SubsumptionMode::kNone);   // 0
-  (void)rel.Insert(RangeFact(35, 50), 0, SubsumptionMode::kNone);   // 1
-  (void)rel.Insert(LowerBoundFact(100), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(RangeFact(10, 20), 0);    // 0
+  (void)rel.Insert(RangeFact(35, 50), 0);    // 1
+  (void)rel.Insert(LowerBoundFact(100), 0);  // 2
   // [30, 40] intersects [35, 50] only.
   EXPECT_EQ(IntervalProbeVec(rel, 1, Between(30, false, 40, false), 3),
             std::vector<size_t>({1}));
@@ -165,7 +165,7 @@ TEST(IntervalIndexTest, AllConstrainedColumnWithSealedRuns) {
   std::vector<int> values(kRows);
   for (int i = 0; i < kRows; ++i) values[i] = (i * 7919) % 601;
   for (int v : values) {
-    (void)rel.Insert(NumberFact(v), 0, SubsumptionMode::kNone);
+    (void)rel.Insert(NumberFact(v), 0);
   }
   ASSERT_EQ(rel.size(), static_cast<size_t>(kRows));
   Interval mid = Between(100, false, 200, false);
@@ -191,11 +191,11 @@ TEST(IntervalIndexTest, AllConstrainedColumnWithSealedRuns) {
 
 TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
   Relation rel;
-  (void)rel.Insert(SymbolFact(3), 0, SubsumptionMode::kNone);     // 0 loose
-  (void)rel.Insert(NumberFact(45), 0, SubsumptionMode::kNone);    // 1 point
-  (void)rel.Insert(RangeFact(40, 70), 0, SubsumptionMode::kNone);  // 2 ranged
-  (void)rel.Insert(NumberFact(10), 0, SubsumptionMode::kNone);    // 3 point
-  (void)rel.Insert(UnboundFact(), 0, SubsumptionMode::kNone);     // 4 loose
+  (void)rel.Insert(SymbolFact(3), 0);      // 0 loose
+  (void)rel.Insert(NumberFact(45), 0);     // 1 point
+  (void)rel.Insert(RangeFact(40, 70), 0);  // 2 ranged
+  (void)rel.Insert(NumberFact(10), 0);     // 3 point
+  (void)rel.Insert(UnboundFact(), 0);      // 4 loose
   std::vector<size_t> got =
       IntervalProbeVec(rel, 1, Between(40, false, 60, false), rel.size());
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
@@ -205,7 +205,7 @@ TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
 TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
   Relation rel;
   for (int i = 0; i < 600; ++i) {  // several full 256-row chunks
-    (void)rel.Insert(NumberFact(i), 0, SubsumptionMode::kNone);
+    (void)rel.Insert(NumberFact(i), 0);
   }
   ASSERT_EQ(rel.size(), 600u);
   EXPECT_EQ(rel.SharedBytes(), 0u);  // sole owner: nothing shared
@@ -217,7 +217,7 @@ TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
 
   // Appending into the copy clones only its tail chunk; the original's
   // rows are untouched.
-  (void)copy.Insert(NumberFact(9999), 1, SubsumptionMode::kNone);
+  (void)copy.Insert(NumberFact(9999), 1);
   ASSERT_EQ(copy.size(), 601u);
   ASSERT_EQ(rel.size(), 600u);
   for (size_t i = 0; i < rel.size(); ++i) {
@@ -263,7 +263,6 @@ TEST(IntervalIndexTest, EvaluationPrunesAndStaysByteIdentical) {
           .ok());
   EvalOptions opts;
   opts.max_iterations = 16;
-  opts.strategy = EvalStrategy::kStratified;
   opts.interval_index = true;
   auto on = Evaluate(p, db, opts);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
@@ -306,7 +305,6 @@ TEST(ColumnarDifferentialTest, CorpusByteIdenticalAcrossModes) {
       SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
       EvalOptions opts;
       opts.max_iterations = 48;
-      opts.strategy = EvalStrategy::kStratified;
       opts.subsumption = mode;
       opts.interval_index = true;
       auto on = Evaluate(loaded->c.program, db, opts);

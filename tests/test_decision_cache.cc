@@ -196,7 +196,6 @@ TEST(DecisionCacheTest, EvaluationUnchangedByCache) {
       AddLayeredGraph(program.symbols.get(), "e", 4, 3, 2, 11, &db).ok());
 
   EvalOptions options;
-  options.strategy = EvalStrategy::kStratified;
   options.subsumption = SubsumptionMode::kSingleFact;
   options.record_trace = true;
   // This test pins pure cache accounting (hit counts across cold/warm
@@ -261,7 +260,6 @@ TEST(DecisionCacheTest, CapacityOneThrashMatchesCacheOff) {
       AddLayeredGraph(program.symbols.get(), "e", 4, 3, 2, 11, &db).ok());
 
   EvalOptions options;
-  options.strategy = EvalStrategy::kStratified;
   options.subsumption = SubsumptionMode::kSingleFact;
   // Pure cache-thrash accounting: keep the prepass out so every decision
   // flows through the capacity-1 cache (see EvaluationUnchangedByCache).
@@ -383,7 +381,6 @@ TEST(PrepassCacheInteractionTest, HitAccountingConsistentUnderBothArms) {
       AddLayeredGraph(program.symbols.get(), "e", 4, 3, 2, 11, &db).ok());
 
   EvalOptions options;
-  options.strategy = EvalStrategy::kStratified;
   options.subsumption = SubsumptionMode::kSingleFact;
   options.record_trace = true;
 
@@ -423,15 +420,15 @@ TEST(PrepassCacheInteractionTest, HitAccountingConsistentUnderBothArms) {
 }
 
 TEST(DecisionCacheTest, FuzzPropertyHoldsUnderCapacityOneThrash) {
-  // strategy_confluence internally pins byte-identical storage across
-  // naive / semi-naive / stratified / 2- and 8-thread runs; executing it
-  // under a capacity-1 cache exercises that guarantee while every shard
+  // oracle_equiv compares the engine's fixpoint with the reference
+  // oracle's (which never consults the cache); executing it under a
+  // capacity-1 cache checks the engine's answers hold while every shard
   // evicts on virtually every insert.
   cqlopt::testing::FuzzCase c = cqlopt::testing::GenerateCase(
       cqlopt::testing::Rng::DeriveSeed(42, 7), {});
-  const cqlopt::testing::PropertyInfo* confluence =
-      cqlopt::testing::FindProperty("strategy_confluence");
-  ASSERT_NE(confluence, nullptr);
+  const cqlopt::testing::PropertyInfo* oracle_equiv =
+      cqlopt::testing::FindProperty("oracle_equiv");
+  ASSERT_NE(oracle_equiv, nullptr);
   DecisionCache::Counters before;
   {
     // Prepass held off for the same reason as the thrash test above: the
@@ -440,7 +437,7 @@ TEST(DecisionCacheTest, FuzzPropertyHoldsUnderCapacityOneThrash) {
     prepass::PrepassDisabler no_prepass;
     DecisionCacheCapacityOverride tiny(1);
     before = DecisionCache::Instance().Snapshot();
-    cqlopt::testing::PropertyOutcome outcome = confluence->fn(c, {});
+    cqlopt::testing::PropertyOutcome outcome = oracle_equiv->fn(c, {});
     EXPECT_TRUE(outcome.ok) << outcome.message;
     EXPECT_FALSE(outcome.skipped) << outcome.message;
     DecisionCache::Counters after = DecisionCache::Instance().Snapshot();

@@ -29,9 +29,8 @@ Program ParseOrDie(const std::string& text) {
 /// cap) can stop it.
 Program Counter() { return ParseOrDie("c(0).\nc(X + 1) :- c(X).\n"); }
 
-EvalOptions Governed(EvalStrategy strategy = EvalStrategy::kStratified) {
+EvalOptions Governed() {
   EvalOptions options;
-  options.strategy = strategy;
   options.max_iterations = 1000000;
   return options;
 }

@@ -164,11 +164,11 @@ TEST(PaperTable2, BoundedMagicFactsMatchPaper) {
 
 // --- Trace-regression pins -------------------------------------------------
 // The full per-iteration derivation traces of Tables 1 and 2, pinned as
-// golden strings so evaluator rewrites (e.g. the SCC-stratified strategy or
-// the hash-indexed join path) cannot silently reorder or lose derivations.
+// golden strings against Evaluate so evaluator changes (e.g. to the
+// hash-indexed join path) cannot silently reorder or lose derivations.
 // Both magic fib programs are a single SCC ({m_fib, fib} are mutually
-// recursive), so the stratified evaluation must reproduce the global
-// semi-naive trace verbatim, not merely the same fact sets.
+// recursive), so the stratified engine runs the paper's one semi-naive
+// loop and must reproduce its trace verbatim, not merely its fact sets.
 
 constexpr char kTable1GoldenTrace[] =
     "iteration 0: {seed:m_fib($1, 5)}\n"
@@ -199,7 +199,7 @@ constexpr char kTable2GoldenTrace[] =
     "r3:fib(4, 5)}\n"
     "iteration 8: {}\n";
 
-Result<EvalResult> EvaluateTable1(const Parsed& in, EvalStrategy strategy) {
+Result<EvalResult> EvaluateTable1(const Parsed& in) {
   MagicOptions options;
   options.sips = SipStrategy::kFullLeftToRight;
   auto magic = MagicTemplates(in.program, in.query, options);
@@ -207,11 +207,10 @@ Result<EvalResult> EvaluateTable1(const Parsed& in, EvalStrategy strategy) {
   EvalOptions eval;
   eval.max_iterations = 9;  // Table 1 shows iterations 0..8
   eval.record_trace = true;
-  eval.strategy = strategy;
   return Evaluate(magic->program, Database(), eval);
 }
 
-Result<EvalResult> EvaluateTable2(const Parsed& in, EvalStrategy strategy) {
+Result<EvalResult> EvaluateTable2(const Parsed& in) {
   PredId fib = in.program.symbols->LookupPredicate("fib");
   std::map<PredId, ConstraintSet> given;
   given[fib] = FibSecondArgAtLeastOne();
@@ -224,20 +223,12 @@ Result<EvalResult> EvaluateTable2(const Parsed& in, EvalStrategy strategy) {
   EvalOptions eval;
   eval.max_iterations = 40;
   eval.record_trace = true;
-  eval.strategy = strategy;
   return Evaluate(magic->program, Database(), eval);
 }
 
 TEST(PaperTable1, FullTracePinned) {
   Parsed in = ParseWithQuery(kFib);
-  auto run = EvaluateTable1(in, EvalStrategy::kSemiNaive);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(RenderTrace(run->trace), kTable1GoldenTrace);
-}
-
-TEST(PaperTable1, StratifiedTraceMatchesOracle) {
-  Parsed in = ParseWithQuery(kFib);
-  auto run = EvaluateTable1(in, EvalStrategy::kStratified);
+  auto run = EvaluateTable1(in);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(RenderTrace(run->trace), kTable1GoldenTrace);
   EXPECT_FALSE(run->stats.reached_fixpoint);
@@ -248,30 +239,10 @@ TEST(PaperTable1, StratifiedTraceMatchesOracle) {
 
 TEST(PaperTable2, FullTracePinned) {
   Parsed in = ParseWithQuery(kFib);
-  auto run = EvaluateTable2(in, EvalStrategy::kSemiNaive);
+  auto run = EvaluateTable2(in);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(RenderTrace(run->trace), kTable2GoldenTrace);
   EXPECT_TRUE(run->stats.reached_fixpoint);
-}
-
-TEST(PaperTable2, StratifiedTraceMatchesOracle) {
-  // Fresh parses per run: rewriting the same Parsed twice would intern a
-  // second magic predicate (m_fib_2) into the shared symbol table.
-  auto oracle = EvaluateTable2(ParseWithQuery(kFib), EvalStrategy::kSemiNaive);
-  auto run = EvaluateTable2(ParseWithQuery(kFib), EvalStrategy::kStratified);
-  ASSERT_TRUE(oracle.ok());
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(RenderTrace(run->trace), kTable2GoldenTrace);
-  EXPECT_TRUE(run->stats.reached_fixpoint);
-  // Identical final fact sets, entry by entry (keys are canonical).
-  for (const auto& [pred, rel] : oracle->db.relations()) {
-    const Relation* other = run->db.Find(pred);
-    ASSERT_NE(other, nullptr);
-    ASSERT_EQ(rel.size(), other->size());
-    for (size_t i = 0; i < rel.size(); ++i) {
-      EXPECT_EQ(rel.fact(i).Key(), other->fact(i).Key());
-    }
-  }
   // The constant-bound m_fib literals in r1/r2/mr3_2 make the index path
   // do real work even on this tiny program.
   EXPECT_GT(run->stats.index_probes, 0);

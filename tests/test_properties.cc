@@ -130,8 +130,8 @@ TEST_P(DisjointProperty, EquivalentAndPairwiseUnsat) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DisjointProperty, ::testing::Range(1, 5));
 
 /// The full differential suite over generated programs: every registered
-/// property (engine vs oracle, strategy confluence, rewrite equivalence,
-/// FM projection, resume-vs-scratch, service round-trip) on random
+/// property (engine vs oracle, rewrite equivalence, FM projection,
+/// resume-vs-scratch, service round-trip, ...) on random
 /// programs with disjunctive rules, recursion, constraint facts, and
 /// strict/equality selections. Failures shrink themselves and print the
 /// cqlfuzz replay command.

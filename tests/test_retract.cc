@@ -77,9 +77,8 @@ Database EdbFromText(const std::string& text,
   return db;
 }
 
-EvalOptions StratifiedOptions(SubsumptionMode mode = SubsumptionMode::kNone) {
+EvalOptions EngineOptions(SubsumptionMode mode = SubsumptionMode::kNone) {
   EvalOptions opts;
-  opts.strategy = EvalStrategy::kStratified;
   opts.subsumption = mode;
   return opts;
 }
@@ -125,7 +124,7 @@ TEST(RetractEvaluateTest, DiamondConclusionSurvivesWhileOneSupportRemains) {
   // d(1) is derived two ways (a diamond through a(1) and b(1)). Killing
   // a(1) must leave d(1) and top(1) standing on the b(1) support alone.
   auto shrunk = RetractAndCheck(program, "a(1).\na(2).\nb(1).\n", "a(1).\n",
-                                "a(2).\nb(1).\n", StratifiedOptions());
+                                "a(2).\nb(1).\n", EngineOptions());
   EXPECT_EQ(shrunk.stats.retracted_facts, 1);
   EXPECT_EQ(shrunk.stats.retract_missing, 0);
   EXPECT_NE(shrunk.stats.retract_path, "full")
@@ -140,7 +139,7 @@ TEST(RetractEvaluateTest, SecondSupportRetractionKillsTheDiamond) {
   auto parsed = ParseProgram(program);
   ASSERT_TRUE(parsed.ok());
   auto symbols = parsed->program.symbols;
-  EvalOptions opts = StratifiedOptions();
+  EvalOptions opts = EngineOptions();
 
   Database full = EdbFromText("a(1).\na(2).\nb(1).\n", symbols);
   auto base = Evaluate(parsed->program, full, opts);
@@ -174,7 +173,7 @@ TEST(RetractEvaluateTest, RecursiveOverDeletionRederivesThroughTheCycle) {
   std::shared_ptr<SymbolTable> symbols;
   auto shrunk = RetractAndCheck(
       program, "edge(1, 2).\nedge(2, 1).\nedge(2, 3).\n", "edge(2, 3).\n",
-      "edge(1, 2).\nedge(2, 1).\n", StratifiedOptions(), &symbols);
+      "edge(1, 2).\nedge(2, 1).\n", EngineOptions(), &symbols);
   std::vector<std::string> paths = FactStrings(shrunk, "path", *symbols);
   EXPECT_TRUE(std::find(paths.begin(), paths.end(), "path(1, 1)") !=
               paths.end())
@@ -191,7 +190,7 @@ TEST(RetractEvaluateTest, RetractionOfNeverInsertedFactsIsCountedNotFatal) {
   auto parsed = ParseProgram(program);
   ASSERT_TRUE(parsed.ok());
   auto symbols = parsed->program.symbols;
-  EvalOptions opts = StratifiedOptions();
+  EvalOptions opts = EngineOptions();
   auto base =
       Evaluate(parsed->program, EdbFromText("a(1).\n", symbols), opts);
   ASSERT_TRUE(base.ok());
@@ -216,7 +215,7 @@ TEST_P(RetractSubsumptionTest, RetractingTheSubsumerResurfacesTheSubsumed) {
   // good(W <= 5) and never stored. Retracting cap(W <= 5) must leave
   // exactly what a scratch run over cap(W <= 3) stores — i.e. the
   // previously-subsumed fact has to be (re)derived, not lost.
-  EvalOptions opts = StratifiedOptions(GetParam());
+  EvalOptions opts = EngineOptions(GetParam());
   std::shared_ptr<SymbolTable> symbols;
   auto shrunk = RetractAndCheck(program,
                                 "cap(W) :- W <= 5.\ncap(W) :- W <= 3.\n",

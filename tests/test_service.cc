@@ -2,8 +2,8 @@
 // cache, snapshot epochs, incremental ingestion, and the cqld line
 // protocol. The core guarantee is differential: resuming a materialized
 // fixpoint with ingested EDB deltas (ResumeEvaluate) must agree with a
-// from-scratch kStratified evaluation of the grown database — across the
-// program corpus and all three subsumption modes.
+// from-scratch evaluation of the grown database — across the program
+// corpus and all three subsumption modes.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -30,6 +30,8 @@
 #include <gtest/gtest.h>
 
 #include "ast/parser.h"
+#include "constraint/decision_cache.h"
+#include "constraint/interval.h"
 #include "core/equivalence.h"
 #include "eval/loader.h"
 #include "eval/seminaive.h"
@@ -173,7 +175,6 @@ TEST_P(ResumeDifferentialTest, ResumedEqualsFromScratch) {
   }
 
   EvalOptions options;
-  options.strategy = EvalStrategy::kStratified;
   options.subsumption = mode.mode;
   options.max_iterations = std::string(program_name) == "fib.cql" ? 14 : 48;
 
@@ -385,6 +386,51 @@ TEST(QueryServiceTest, FingerprintIgnoresVariableNames) {
   ASSERT_TRUE(other_query.ok());
   EXPECT_NE(*a, *other_query);
   EXPECT_FALSE(cached);
+}
+
+TEST(QueryServiceTest, ConcurrentPrepareMissesRewriteOnce) {
+  // Concurrent misses on one key must share one rewrite: a second would
+  // intern another set of fresh predicates (cheaporshort_bbff_2, ...) into
+  // the service's symbol table that no entry ever uses. The race needs a
+  // thread to miss between another's parse and its rewrite, so it is run
+  // on a fresh service many times, each with cold decision caches so the
+  // rewrite is as slow as a first one. (Without the re-check under the
+  // lock, 8 of 10 runs of this test failed on a 4-core machine.)
+  constexpr int kRounds = 32;
+  constexpr int kThreads = 16;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    DecisionCache::Instance().Clear();
+    prepass::ClearMemo();
+    auto service = FlightsService();
+    std::atomic<int> ready{0};
+    std::vector<uint64_t> fingerprints(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ++ready;
+        while (ready.load() < kThreads) std::this_thread::yield();
+        auto fingerprint = service->Prepare(kFlightsQuery, "pred,qrp,mg");
+        if (fingerprint.ok()) {
+          fingerprints[static_cast<size_t>(t)] = *fingerprint;
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (uint64_t fingerprint : fingerprints) {
+      EXPECT_NE(fingerprint, 0u);
+      EXPECT_EQ(fingerprint, fingerprints[0]);
+    }
+    ServiceStats stats = service->Stats();
+    EXPECT_EQ(stats.prepared_misses, 1);
+    EXPECT_EQ(stats.prepared_hits, kThreads - 1);
+    EXPECT_EQ(stats.prepared_entries, 1u);
+    const SymbolTable& symbols = *service->program().symbols;
+    for (PredId pred = 0; pred < symbols.num_predicates(); ++pred) {
+      const std::string& name = symbols.PredicateName(pred);
+      EXPECT_EQ(name.find("_2"), std::string::npos) << name;
+    }
+  }
 }
 
 TEST(QueryServiceTest, PreparedCacheEvictsAtCapacity) {

@@ -23,11 +23,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "ast/printer.h"
 #include "eval/validate.h"
+#include "numeric_flags.h"
 #include "testing/corpus.h"
 #include "testing/generator.h"
 #include "testing/properties.h"
@@ -72,8 +74,21 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseArgs(int argc, char** argv, Args* args) {
+/// Usage errors in flag values print their own message naming the flag and
+/// set `*bad_value`; other usage errors print the usage line.
+bool ParseArgs(int argc, char** argv, Args* args, bool* bad_value) {
+  const std::vector<cqlopt_tools::NumericFlag> numeric_flags = {
+      {"--iters", 1, std::numeric_limits<int>::max(),
+       cqlopt_tools::Store(&args->iters)},
+  };
   for (int i = 1; i < argc; ++i) {
+    cqlopt_tools::FlagMatch numeric = cqlopt_tools::MatchNumericFlag(
+        "cqlfuzz", numeric_flags, argc, argv, &i);
+    if (numeric == cqlopt_tools::FlagMatch::kBad) {
+      *bad_value = true;
+      return false;
+    }
+    if (numeric == cqlopt_tools::FlagMatch::kParsed) continue;
     std::string flag = argv[i];
     auto value = [&](std::string* out) {
       if (i + 1 >= argc) return false;
@@ -81,10 +96,17 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return true;
     };
     std::string v;
-    if (flag == "--seed" && value(&v)) {
-      args->seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag == "--iters" && value(&v)) {
-      args->iters = std::atoi(v.c_str());
+    if (flag == "--seed") {
+      const char* seed = i + 1 < argc ? argv[++i] : nullptr;
+      if (seed == nullptr || !cqlopt_tools::ParseUint64(seed, &args->seed)) {
+        std::cerr << "cqlfuzz: --seed needs an integer in [0, "
+                  << std::numeric_limits<uint64_t>::max() << "], got "
+                  << (seed == nullptr ? "nothing"
+                                      : "'" + std::string(seed) + "'")
+                  << "\n";
+        *bad_value = true;
+        return false;
+      }
     } else if (flag == "--property" && value(&v)) {
       args->property = v;
     } else if (flag == "--corpus-out" && value(&v)) {
@@ -104,7 +126,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  return args->iters > 0;
+  return true;
 }
 
 std::vector<const PropertyInfo*> SelectProperties(const std::string& name) {
@@ -259,7 +281,10 @@ int RunReplay(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) return Usage(argv[0]);
+  bool bad_value = false;
+  if (!ParseArgs(argc, argv, &args, &bad_value)) {
+    return bad_value ? 2 : Usage(argv[0]);
+  }
   if (args.list) {
     for (const PropertyInfo& info : AllProperties()) {
       std::cout << info.name << "\t" << info.summary << "\n";

@@ -1,4 +1,5 @@
-// Strict parsing of the integer-valued command-line flags of cqld and cqlc.
+// Strict parsing of the integer-valued command-line flags of cqld, cqlc and
+// cqlfuzz.
 // Every numeric flag is declared once with its accepted range; a value that
 // is not a whole base-10 integer inside that range is a usage error naming
 // the flag, never a silent 0 or a wrapped-around size.
@@ -9,6 +10,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
@@ -53,6 +55,19 @@ inline bool ParseLongInRange(const char* text, long min, long max,
     return false;
   }
   *out = value;
+  return true;
+}
+
+/// Unsigned counterpart of ParseLongInRange for flags that take any
+/// uint64_t (cqlfuzz --seed): all of `text` must be base-10 digits. A sign
+/// is rejected, since strtoull would silently wrap "-1" to 2^64 - 1.
+inline bool ParseUint64(const char* text, uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<uint64_t>(value);
   return true;
 }
 
